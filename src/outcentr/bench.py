@@ -311,7 +311,7 @@ def _detect(det_cfg, train_red, test_red, transductive, context):
             lambda: iforest_score(model, test_red, transductive=transductive)
         )
     elif transductive:
-        fit_s = time_phase(lambda: None)
+        fit_s = 0.0
         result, predict_s = _timed(lambda: lof_fit_predict(test_red, det_cfg, context))
     else:
         model, fit_s = _timed(lambda: lof_fit(train_red, det_cfg, context))

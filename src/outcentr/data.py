@@ -31,7 +31,7 @@ class Dataset:
     """An n-by-m numeric matrix with named attributes and optional binary labels.
 
     Attributes:
-        values: (n, m) float matrix, one row per record.
+        values: (n, m) matrix of finite floats, one row per record.
         attribute_names: m distinct column names, in column order.
         labels: optional (n,) array of 0/1 marks, 1 = outlier.
         normalization: per-attribute (min, max) pairs recorded by
@@ -58,6 +58,11 @@ class Dataset:
             raise DataError(f"{len(names)} attribute names for {m} columns")
         if len(set(names)) != m:
             raise DataError("attribute names must be distinct")
+        finite = np.isfinite(values)
+        if not finite.all():
+            j = int(np.flatnonzero(~finite.all(axis=0))[0])
+            i = int(np.flatnonzero(~finite[:, j])[0])
+            raise DataError(f"non-finite value {values[i, j]} in column {names[j]!r}, row {i + 1}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "attribute_names", names)
         if self.labels is not None:

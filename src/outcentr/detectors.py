@@ -5,6 +5,12 @@ binary flags cut at a quantile threshold. Scores are a pure function of
 (data, config, seed). The isolation forest scores any dataset against a
 fitted ensemble; LOF is transductive by nature but can also score unseen
 rows against a fitted reference set for train/test workflows.
+
+LOF neighborhoods are exact, distance ties included. Euclidean candidates
+come from one matrix product per row block (the norm expansion
+||q||^2 + ||r||^2 - 2 q.r), and only the candidates near each row's
+k-distance have their distances recomputed from explicit differences.
+Neighbor lists are stored flat (CSR) and reduced with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,10 +29,12 @@ DETECTOR_KINDS = ("iforest", "lof")
 _EULER_GAMMA = 0.5772156649015329
 # duplicate rows give zero reachability distances; floor before inverting
 _MIN_DISTANCE = 1e-12
-# cap on distance-matrix cells held at once (~256 MB of float64)
-_BLOCK_CELLS = 1 << 25
-# difference-buffer tile, kept small enough to stay in cache (~32 MB)
-_TILE_CELLS = 1 << 22
+# selection values held at once by the neighbor search (~2 MB of float64)
+_BLOCK_CELLS = 1 << 18
+# Manhattan difference-buffer tile, allocated once per row block (~8 MB)
+_TILE_CELLS = 1 << 20
+# gathered cells per tile of the exact Euclidean recheck (~512 KB)
+_PAIR_TILE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -273,15 +282,13 @@ def iforest_score(
 # ---------------------------------------------------------------------------
 
 
-def _distance_block(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    """Exact pairwise distances between two row sets.
+def _distance_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact Manhattan distances between two row sets.
 
-    Differences are taken pair by pair rather than through the norm-expansion
-    shortcut, which loses precision on near-duplicate rows. Work is tiled
-    (row blocks by feature slices) so the difference buffer stays cache-sized.
+    Manhattan distance has no matrix-product form, so every pairwise
+    difference is taken explicitly. Work is tiled (row blocks by feature
+    slices) so the difference buffer stays cache-sized.
     """
-    if metric not in ("euclidean", "manhattan"):
-        raise DataError(f"unknown distance metric {metric!r}")
     n_a, n_b, m = a.shape[0], b.shape[0], a.shape[1]
     step = min(32, m)
     rows_per = max(1, _TILE_CELLS // max(n_b * step, 1))
@@ -294,74 +301,128 @@ def _distance_block(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
             f1 = min(f0 + step, m)
             diff = buf[: r1 - r0, :, : f1 - f0]
             np.subtract(a[r0:r1, None, f0:f1], b[None, :, f0:f1], out=diff)
-            if metric == "euclidean":
-                acc += np.einsum("ijk,ijk->ij", diff, diff)
-            else:
-                np.abs(diff, out=diff)
-                acc += diff.sum(axis=2)
-    if metric == "euclidean":
-        np.sqrt(out, out=out)
+            np.abs(diff, out=diff)
+            acc += diff.sum(axis=2)
     return out
 
 
+def _pair_distances(query: np.ndarray, ref: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Exact Euclidean distances d(query[rows[i]], ref[cols[i]]) for each pair i.
+
+    Each distance is summed from explicit differences. Pairs are gathered a
+    tile at a time, so the gathered rows stay near _PAIR_TILE_CELLS cells.
+    """
+    per = max(1, _PAIR_TILE_CELLS // query.shape[1])
+    out = np.empty(rows.size)
+    for s in range(0, rows.size, per):
+        diff = query[rows[s : s + per]] - ref[cols[s : s + per]]
+        out[s : s + per] = np.einsum("ij,ij->i", diff, diff)
+    return np.sqrt(out, out=out)
+
+
+def _row_kth(rows: np.ndarray, values: np.ndarray, n_rows: int, k: int) -> np.ndarray:
+    """k-th smallest of each row's entries; ``rows`` ascending, k or more entries a row.
+
+    The entries are laid into a table padded with +inf to the widest row of
+    this call, which is at most the width of the block they came from.
+    """
+    counts = np.bincount(rows, minlength=n_rows)
+    table = np.full((n_rows, counts.max()), np.inf)
+    table[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = values
+    return np.partition(table, k - 1, axis=1)[:, k - 1]
+
+
+class _Neighborhoods(NamedTuple):
+    """Neighbor lists of every query row in CSR form.
+
+    Row i owns the ``counts[i]`` consecutive entries of ``indices`` (reference
+    rows, ascending) and ``distances``; ``kdist[i]`` is its k-distance.
+    """
+
+    kdist: np.ndarray
+    indices: np.ndarray
+    distances: np.ndarray
+    counts: np.ndarray
+
+    def row_mean(self, values: np.ndarray) -> np.ndarray:
+        """Mean of ``values`` (one per entry) over each row's entries."""
+        rows = np.repeat(np.arange(self.counts.size), self.counts)
+        return np.bincount(rows, weights=values, minlength=self.counts.size) / self.counts
+
+
 def _neighborhoods(query: np.ndarray, ref: np.ndarray, k: int, metric: str, exclude_self: bool):
-    """k-distances and padded neighbor index/distance tables for every query row.
+    """k-distances and CSR neighbor lists for every query row.
 
     The neighborhood of a row is every reference point within its k-distance
-    (distance ties included), never the row itself. Tables are padded to the
-    widest neighborhood: indices with -1, distances with +inf. Distances are
-    computed once, in row blocks, to bound memory.
+    (distance ties included), never the row itself. Rows are taken in blocks
+    of about _BLOCK_CELLS selection values, in two steps:
+
+    1. Candidates. For Euclidean distance a block's selection values are
+       ||r||^2 - 2 q.r from one matrix product; the query norm is constant
+       along a row and is left out. The k-th smallest value comes from
+       ``np.partition``, and every reference point within a rounding margin
+       of it is a candidate. The margin, 4 (m + 2) eps (||q||^2 + max ||r||^2),
+       covers the expansion's rounding error on a value and on the k-th
+       value plus the error of the exact distances, so every point that the
+       exact distances put within the k-distance is a candidate, however far
+       the data sit from the origin. Manhattan distance has no such
+       expansion: its selection values are the exact distances from
+       _distance_block, and there is no margin.
+    2. Exact recheck. Candidate distances are recomputed from explicit
+       differences (Euclidean only), so square roots are taken of candidates,
+       never of a whole block. The k-distance is the k-th smallest of them,
+       and every candidate within it is kept.
     """
-    n_q, n_ref = query.shape[0], ref.shape[0]
-    block = max(1, _BLOCK_CELLS // max(n_ref, 1))
+    n_q, n_ref, m = query.shape[0], ref.shape[0], query.shape[1]
+    block = max(1, _BLOCK_CELLS // n_ref)
+    euclidean = metric == "euclidean"
+    if euclidean:
+        # [q, 1] @ [-2 ref.T; ||r||^2] does the norm add inside the product
+        ref_sq = np.einsum("ij,ij->i", ref, ref)
+        ref_aug = np.vstack([-2.0 * ref.T, ref_sq])
+        query_aug = np.hstack([query, np.ones((n_q, 1))])
+        margin = 4 * (m + 2) * np.finfo(np.float64).eps * (
+            np.einsum("ij,ij->i", query, query) + ref_sq.max()
+        )
+    elif metric == "manhattan":
+        margin = np.zeros(n_q)
+    else:
+        raise DataError(f"unknown distance metric {metric!r}")
     kdist = np.empty(n_q)
-    chunk_idx, chunk_dist, chunk_counts = [], [], []
+    indices, distances, counts = [], [], []
     for start in range(0, n_q, block):
         stop = min(start + block, n_q)
-        d = _distance_block(query[start:stop], ref, metric)
+        if euclidean:
+            values = query_aug[start:stop] @ ref_aug
+        else:
+            values = _distance_block(query[start:stop], ref)
         if exclude_self:
-            d[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        kd = np.partition(d, k - 1, axis=1)[:, k - 1]
-        kdist[start:stop] = kd
-        mask = d <= kd[:, None]
-        counts = mask.sum(axis=1)
-        rows, cols = np.nonzero(mask)
-        first = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        position = np.arange(rows.size) - first[rows]
-        idx = np.full((stop - start, int(counts.max())), -1, dtype=np.int64)
-        dist = np.full(idx.shape, np.inf)
-        idx[rows, position] = cols
-        dist[rows, position] = d[rows, cols]
-        chunk_idx.append(idx)
-        chunk_dist.append(dist)
-        chunk_counts.append(counts)
-    width = max(c.shape[1] for c in chunk_idx)
-    idx = np.full((n_q, width), -1, dtype=np.int64)
-    dist = np.full((n_q, width), np.inf)
-    row = 0
-    for ci, cd in zip(chunk_idx, chunk_dist):
-        idx[row : row + ci.shape[0], : ci.shape[1]] = ci
-        dist[row : row + ci.shape[0], : ci.shape[1]] = cd
-        row += ci.shape[0]
-    return kdist, idx, dist, np.concatenate(chunk_counts)
+            values[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        cut = np.partition(values, k - 1, axis=1)[:, k - 1] + margin[start:stop]
+        rows, cols = np.divmod(np.flatnonzero(values <= cut[:, None]), n_ref)
+        if euclidean:
+            dist = _pair_distances(query[start:stop], ref, rows, cols)
+        else:
+            dist = values[rows, cols]
+        kd = kdist[start:stop] = _row_kth(rows, dist, stop - start, k)
+        keep = dist <= kd[rows]
+        indices.append(cols[keep])
+        distances.append(dist[keep])
+        counts.append(np.bincount(rows[keep], minlength=stop - start))
+    return _Neighborhoods(
+        kdist, np.concatenate(indices), np.concatenate(distances), np.concatenate(counts)
+    )
 
 
-def _local_reachability_density(dist, idx, counts, kdist_ref):
+def _local_reachability_density(nb: _Neighborhoods, kdist_ref: np.ndarray) -> np.ndarray:
     """1 / mean reachability distance over each row's neighbors.
 
     reach(p, o) = max(kdist(o), d(p, o)); the mean is floored so duplicate
     rows (all-zero distances) yield a large finite density instead of a
     division by zero.
     """
-    valid = idx >= 0
-    reach = np.maximum(dist, kdist_ref[np.where(valid, idx, 0)])
-    mean_reach = np.where(valid, reach, 0.0).sum(axis=1) / counts
-    return 1.0 / np.maximum(mean_reach, _MIN_DISTANCE)
-
-
-def _mean_neighbor_lrd(idx, counts, lrd_ref):
-    valid = idx >= 0
-    return np.where(valid, lrd_ref[np.where(valid, idx, 0)], 0.0).sum(axis=1) / counts
+    reach = np.maximum(nb.distances, kdist_ref[nb.indices])
+    return 1.0 / np.maximum(nb.row_mean(reach), _MIN_DISTANCE)
 
 
 def _lof_reference_stats(x: np.ndarray, k: int, metric: str):
@@ -373,10 +434,10 @@ def _lof_reference_stats(x: np.ndarray, k: int, metric: str):
     n = x.shape[0]
     if n <= k:
         raise DataError(f"LOF needs more rows than neighbors: n={n}, k={k}")
-    kdist, idx, dist, counts = _neighborhoods(x, x, k, metric, exclude_self=True)
-    lrd = _local_reachability_density(dist, idx, counts, kdist)
-    lof = _mean_neighbor_lrd(idx, counts, lrd) / lrd
-    return kdist, lrd, lof
+    nb = _neighborhoods(x, x, k, metric, exclude_self=True)
+    lrd = _local_reachability_density(nb, nb.kdist)
+    lof = nb.row_mean(lrd[nb.indices]) / lrd
+    return nb.kdist, lrd, lof
 
 
 def _lof_query_scores(
@@ -388,9 +449,8 @@ def _lof_query_scores(
     metric: str,
 ) -> np.ndarray:
     """LOF of new points with respect to a fitted reference set."""
-    kd_q, idx, dist, counts = _neighborhoods(query, reference, k, metric, exclude_self=False)
-    lrd_q = _local_reachability_density(dist, idx, counts, kdist_ref)
-    return _mean_neighbor_lrd(idx, counts, lrd_ref) / lrd_q
+    nb = _neighborhoods(query, reference, k, metric, exclude_self=False)
+    return nb.row_mean(lrd_ref[nb.indices]) / _local_reachability_density(nb, kdist_ref)
 
 
 @dataclass(frozen=True)

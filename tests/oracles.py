@@ -34,12 +34,15 @@ def _dist(u, v, metric):
     return float(np.abs(u - v).sum())
 
 
-def brute_force_lof(x, k, metric="euclidean"):
+def brute_force_lof(x, k, metric="euclidean", query=None):
     """LOF values computed point by point from the definition.
 
     Neighborhood of p = every other point within p's k-distance (ties
     included). reach(p, o) = max(kdist(o), d(p, o)). lrd = 1 / mean reach,
     with the same zero-distance floor the implementation contracts to.
+    With ``query``, returns instead the LOF of each query row against x: the
+    row is not a point of x, so its neighborhood is drawn from all of x, and
+    x's points keep their own k-distances and densities.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -61,4 +64,15 @@ def brute_force_lof(x, k, metric="euclidean"):
     lof = []
     for i in range(n):
         lof.append(sum(lrd[j] for j in neighborhoods[i]) / len(neighborhoods[i]) / lrd[i])
-    return np.array(lof)
+    if query is None:
+        return np.array(lof)
+
+    query_lof = []
+    for q in np.asarray(query, dtype=float):
+        d = [_dist(q, x[j], metric) for j in range(n)]
+        kd = sorted(d)[k - 1]
+        neighborhood = [j for j in range(n) if d[j] <= kd]
+        reach = [max(kdist[j], d[j]) for j in neighborhood]
+        own_lrd = 1.0 / max(sum(reach) / len(reach), LOF_DISTANCE_FLOOR)
+        query_lof.append(sum(lrd[j] for j in neighborhood) / len(neighborhood) / own_lrd)
+    return np.array(query_lof)

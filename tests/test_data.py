@@ -205,6 +205,13 @@ class TestContainers:
         with pytest.raises(DataError):
             Dataset(values=np.ones((2, 1)), attribute_names=("a",), labels=np.array([0, 2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        values = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, bad], [6.0, bad, 8.0]])
+        # the first column holding a non-finite value is named, with its first bad row
+        with pytest.raises(DataError, match=rf"non-finite value {bad} in column 'b', row 3"):
+            Dataset(values=values, attribute_names=("a", "b", "c"))
+
     def test_values_are_read_only(self):
         d = make_dataset([[1.0, 2.0]])
         with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from outcentr.data import Context, DataError, Dataset
+from outcentr.data import DISTANCE_METRICS, Context, DataError, Dataset
 from outcentr.detectors import (
     DetectorConfig,
     average_path_length,
@@ -31,6 +36,27 @@ def lof_cfg(**kw):
     kw.setdefault("contamination", 0.1)
     kw.setdefault("k_neighbors", 5)
     return DetectorConfig(kind="lof", **kw)
+
+
+def grid_rows(rng, n, m):
+    """Rows drawn from a small half-step grid: many exact duplicates and
+    tied k-distances. Each column's offset has 40 fraction bits, so every
+    coordinate and difference stays exact after a shift of +1e3, while
+    products do not: there the norm expansion alone cancels badly."""
+    offset = rng.integers(0, 2**39, size=m) * 2.0**-40
+    return rng.integers(0, 4, size=(n, m)) * 0.5 + offset
+
+
+def assert_lof_matches_oracle(x, query, k, metric, label="", **tol):
+    """lof_fit_predict, and lof_fit + lof_score on held-out rows, agree with
+    brute_force_lof within ``tol``."""
+    cfg, context = lof_cfg(k_neighbors=k), Context(dist=metric)
+    expected = brute_force_lof(x, k, metric)
+    assert np.allclose(lof_fit_predict(dataset(x), cfg, context).scores, expected, **tol), label
+    model = lof_fit(dataset(x), cfg, context)
+    assert np.allclose(model.train_scores, expected, **tol), label
+    held_out = lof_score(model, dataset(query)).scores
+    assert np.allclose(held_out, brute_force_lof(x, k, metric, query=query), **tol), label
 
 
 class TestDetectorConfig:
@@ -189,6 +215,21 @@ class TestLof:
             result = lof_fit_predict(dataset(x), lof_cfg(k_neighbors=k))
             expected = brute_force_lof(x, k)
             assert np.allclose(result.scores, expected, atol=1e-9), f"trial {trial}"
+        # both metrics, both scoring paths: uniform rows, then tie-heavy grid
+        # rows as they are and shifted by +1e3. Duplicates hit the distance
+        # floor on the grids, so agreement there is relative.
+        cases = itertools.product(DISTANCE_METRICS, ("uniform", "grid", "grid+1e3"), range(8))
+        for metric, kind, trial in cases:
+            n = int(rng.integers(12, 50))
+            m = int(rng.integers(1, 5))
+            k = int(rng.choice([3, 5, 10]))
+            if kind == "uniform":
+                x, query, tol = rng.random((n, m)), rng.random((8, m)), dict(atol=1e-9, rtol=0)
+            else:
+                rows = grid_rows(rng, n + 8, m) + (1e3 if kind == "grid+1e3" else 0.0)
+                x, query = rows[:n], rows[n:]
+                tol = dict(rtol=1e-9, atol=0)
+            assert_lof_matches_oracle(x, query, k, metric, f"{metric} {kind} trial {trial}", **tol)
 
     def test_oracle_agreement_with_duplicates_and_manhattan(self):
         # duplicate clusters hit the distance floor, so densities reach 1e12
@@ -201,6 +242,10 @@ class TestLof:
             )
             expected = brute_force_lof(x, 4, metric)
             assert np.allclose(result.scores, expected, rtol=1e-9, atol=0)
+        # the same rows far from the origin, and held-out copies of them
+        query = x[rng.integers(0, 30, size=10)]
+        for metric, shift in itertools.product(DISTANCE_METRICS, (0.0, 1e3)):
+            assert_lof_matches_oracle(x + shift, query + shift, 4, metric, rtol=1e-9, atol=0)
 
     def test_requires_more_rows_than_neighbors(self):
         d = dataset(np.random.default_rng(13).random((5, 2)))
@@ -234,6 +279,26 @@ class TestLof:
         model = lof_fit(dataset(cluster), lof_cfg(k_neighbors=10))
         probe = dataset(cluster[:5] + 1e-6)
         assert np.all(lof_score(model, probe).scores < 1.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), metric=st.sampled_from(DISTANCE_METRICS))
+def test_lof_follows_permutation_and_ignores_translation(data, metric):
+    k = data.draw(st.integers(1, 6), label="k")
+    n = data.draw(st.integers(k + 1, 40), label="n")
+    m = data.draw(st.integers(1, 4), label="m")
+    # quarter steps plus shifts in steps of 2**-20 (up to about 1e3) add
+    # without rounding, so translation changes no distance and no tie
+    x = data.draw(arrays(np.int64, (n, m), elements=st.integers(-8, 8)), label="x") * 0.25
+    shift = data.draw(arrays(np.int64, m, elements=st.integers(-2**30, 2**30)), label="shift")
+    shift = shift * 2.0**-20
+    perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+    cfg, context = lof_cfg(k_neighbors=k), Context(dist=metric)
+    scores = lof_fit_predict(dataset(x), cfg, context).scores
+    permuted = lof_fit_predict(dataset(x[perm]), cfg, context).scores
+    assert np.allclose(permuted, scores[perm], rtol=1e-9, atol=0)
+    translated = lof_fit_predict(dataset(x + shift), cfg, context).scores
+    assert np.allclose(translated, scores, rtol=1e-9, atol=0)
 
 
 def test_detection_export(tmp_path):
