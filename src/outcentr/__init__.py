@@ -13,7 +13,6 @@ from .baselines import (
     PcaModel,
     grp_model,
     grp_transform,
-    jacobi_eigh,
     load_model,
     pca_fit,
     pca_transform,

@@ -1,8 +1,8 @@
 """Comparison reducers: principal component analysis and Gaussian random projection.
 
 Both take a dataset to k output attributes. PCA eigendecomposes the sample
-covariance with a cyclic Jacobi sweep; GRP multiplies by a seeded random
-normal matrix scaled so squared distances are preserved in expectation.
+covariance with ``np.linalg.eigh``; GRP multiplies by a seeded random normal
+matrix scaled so squared distances are preserved in expectation.
 """
 
 from __future__ import annotations
@@ -63,63 +63,12 @@ class GrpModel:
         return self.projection.shape[1]
 
 
-def jacobi_eigh(
-    a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps rotate every off-diagonal pair until the off-diagonal Frobenius
-    norm drops below ``tol`` or ``max_sweeps`` sweeps have run. Returns
-    eigenvalues in descending order and the matching eigenvectors as columns.
-    """
-    a = np.array(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=1e-10):
-        raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = a - np.diag(np.diag(a))
-        if np.sqrt((off * off).sum()) < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = col_p - s * (col_q + tau * col_p)
-                a[:, q] = col_q + s * (col_p - tau * col_q)
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, :] = a[:, p].copy()
-                a[q, :] = a[:, q].copy()
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = vp - s * (vq + tau * vp)
-                v[:, q] = vq + s * (vp - tau * vq)
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    return eigenvalues[order], v[:, order]
-
-
 def pca_fit(train: Dataset, k: int) -> PcaModel:
     """Fit a k-component PCA basis on the training rows.
 
-    Covariance uses the n-1 divisor. Each component's largest-magnitude
-    entry is made positive so repeated fits report identical bases.
+    Covariance uses the n-1 divisor and rounding-level negative variances are
+    clipped to 0. Each component's largest-magnitude entry is made positive so
+    repeated fits report identical bases.
     """
     n, m = train.n, train.m
     if n < 2:
@@ -129,9 +78,9 @@ def pca_fit(train: Dataset, k: int) -> PcaModel:
     mean = train.values.mean(axis=0)
     centered = train.values - mean
     cov = centered.T @ centered / (n - 1)
-    eigenvalues, eigenvectors = jacobi_eigh(cov)
-    components = eigenvectors[:, :k].T.copy()
-    variance = np.clip(eigenvalues[:k], 0.0, None)
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    components = eigenvectors[:, ::-1][:, :k].T.copy()
+    variance = np.clip(eigenvalues[::-1][:k], 0.0, None)
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
@@ -192,22 +141,37 @@ def save_model(model: PcaModel | GrpModel, path) -> None:
 
 
 def load_model(path) -> PcaModel | GrpModel:
-    """Read a model written by :func:`save_model`."""
+    """Read a model written by :func:`save_model`.
+
+    A file whose vectors disagree with its header's k and m, or that holds a
+    number that does not parse, raises :class:`DataError` naming the file.
+    """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise DataError(f"{path} is empty")
     head = lines[0].split()
-    vectors = [np.array([float(x) for x in line.split()]) for line in lines[1:]]
-    if head[0] == "pca" and len(head) == 3:
-        k = int(head[1])
-        if len(vectors) != k + 2:
-            raise DataError(f"{path}: expected {k + 2} vectors, got {len(vectors)}")
+    kind = head[0] if head else ""
+    if len(head) != {"pca": 3, "grp": 4}.get(kind):
+        raise DataError(f"{path} is not a saved reducer model")
+    try:
+        k, m = int(head[1]), int(head[2])
+        seed = int(head[3]) if kind == "grp" else None
+        vectors = [np.array([float(x) for x in line.split()]) for line in lines[1:]]
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if k < 1 or m < 1:
+        raise DataError(f"{path}: header gives k={k}, m={m}")
+    lengths = [m] * (k + 1) + [k] if kind == "pca" else [m] * k
+    if len(vectors) != len(lengths):
+        raise DataError(f"{path}: expected {len(lengths)} vectors, got {len(vectors)}")
+    for line, (vector, length) in enumerate(zip(vectors, lengths), start=2):
+        if vector.size != length:
+            raise DataError(f"{path}: line {line} holds {vector.size} numbers, expected {length}")
+    if kind == "pca":
         return PcaModel(
             mean=vectors[0],
             components=np.vstack(vectors[1 : k + 1]),
             explained_variance=vectors[k + 1],
         )
-    if head[0] == "grp" and len(head) == 4:
-        return GrpModel(projection=np.vstack(vectors), seed=int(head[3]))
-    raise DataError(f"{path} is not a saved reducer model")
+    return GrpModel(projection=np.vstack(vectors), seed=seed)

@@ -94,9 +94,6 @@ class Dataset:
         except ValueError:
             raise DataError(f"unknown attribute {name!r}") from None
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.index_of(name)]
-
     def take_rows(self, rows) -> Dataset:
         """New dataset restricted to the given row indices (order preserved)."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -118,16 +115,13 @@ class SplitPair:
 
 @dataclass(frozen=True)
 class Context:
-    """Scope of an outlier-detection task: a distance metric and a threshold.
+    """Scope of an outlier-detection task: the distance metric LOF uses.
 
-    ``th`` is either an absolute score cutoff or a contamination fraction in
-    (0, 1) from which each detector derives its own cutoff. Detectors read the
-    metric from here; thresholds normally come from their own contamination
-    setting.
+    Each detector derives its flagging threshold from its own contamination
+    setting, not from here.
     """
 
     dist: str = "euclidean"
-    th: float | None = None
 
     def __post_init__(self):
         if self.dist not in DISTANCE_METRICS:

@@ -29,7 +29,6 @@ class MetricSet:
     precision: float
     recall: float
     f1: float
-    auc: float | None
     support_outliers: int
 
 
@@ -48,7 +47,7 @@ def confusion(flags, labels) -> Confusion:
 
 
 def prf1(c: Confusion) -> MetricSet:
-    """Precision, recall, and F1 from confusion counts (AUC left unset)."""
+    """Precision, recall, and F1 from confusion counts (AUC needs scores: :func:`roc_auc`)."""
     precision = c.tp / (c.tp + c.fp) if c.tp + c.fp > 0 else 0.0
     recall = c.tp / (c.tp + c.fn) if c.tp + c.fn > 0 else 0.0
     f1 = (
@@ -60,7 +59,6 @@ def prf1(c: Confusion) -> MetricSet:
         precision=precision,
         recall=recall,
         f1=f1,
-        auc=None,
         support_outliers=c.tp + c.fn,
     )
 

@@ -81,12 +81,6 @@ class AttributeRank:
         """Names of the top-t attributes, in rank order."""
         return tuple(name for name, _ in self.entries[: self.t])
 
-    def score_of(self, name: str) -> float:
-        for entry_name, score in self.entries:
-            if entry_name == name:
-                return score
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class AttributeScoreReport:
@@ -289,7 +283,7 @@ def export_rank(rank: AttributeRank, path) -> None:
 
 
 def load_rank(path) -> AttributeRank:
-    """Read an :func:`export_rank` CSV back into an AttributeRank."""
+    """Read an :func:`export_rank` CSV back; its 0/1 ``selected`` flags must mark a prefix."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -298,12 +292,15 @@ def load_rank(path) -> AttributeRank:
         header = next(reader, None)
         if header != ["rank", "attribute", "distinguishability_score", "selected"]:
             raise DataError(f"{path} is not an attribute-rank export")
-        entries, t = [], 0
+        entries, selected = [], []
         for row in reader:
-            if len(row) != 4:
+            if len(row) != 4 or row[3] not in ("0", "1"):
                 raise DataError(f"malformed rank row: {row!r}")
             entries.append((row[1], float(row[2])))
-            t += int(row[3] not in ("0", ""))
+            selected.append(row[3] == "1")
     if not entries:
         raise DataError("empty rank export")
-    return AttributeRank(entries=tuple(entries), t=max(1, t))
+    t = sum(selected)
+    if t == 0 or not all(selected[:t]):
+        raise DataError(f"{path}: selected flags are not a non-empty prefix of 1s")
+    return AttributeRank(entries=tuple(entries), t=t)

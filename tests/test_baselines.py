@@ -6,7 +6,6 @@ from outcentr.baselines import (
     PcaModel,
     grp_model,
     grp_transform,
-    jacobi_eigh,
     load_model,
     pca_fit,
     pca_transform,
@@ -19,25 +18,6 @@ def dataset(values, labels=None):
     values = np.asarray(values, dtype=float)
     names = tuple(f"a{j + 1}" for j in range(values.shape[1]))
     return Dataset(values=values, attribute_names=names, labels=labels)
-
-
-class TestJacobi:
-    def test_matches_reference_eigensolver(self):
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            n = int(rng.integers(1, 12))
-            a = rng.normal(size=(n, n))
-            sym = (a + a.T) / 2
-            w, v = jacobi_eigh(sym)
-            ref = np.sort(np.linalg.eigvalsh(sym))[::-1]
-            assert np.allclose(w, ref, atol=1e-9)
-            assert np.allclose(v.T @ v, np.eye(n), atol=1e-9)
-            for j in range(n):
-                assert np.linalg.norm(sym @ v[:, j] - w[j] * v[:, j]) < 1e-8
-
-    def test_rejects_non_symmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestPca:
@@ -66,18 +46,31 @@ class TestPca:
 
     def test_components_orthonormal_and_residuals_small(self):
         rng = np.random.default_rng(3)
-        d = dataset(rng.normal(size=(80, 6)))
-        model = pca_fit(d, k=4)
-        assert np.allclose(model.components @ model.components.T, np.eye(4), atol=1e-6)
-        centered = d.values - model.mean
-        cov = centered.T @ centered / (d.n - 1)
-        for vec, lam in zip(model.components, model.explained_variance):
-            assert np.linalg.norm(cov @ vec - lam * vec) < 1e-8
-        # projections onto distinct components are uncorrelated
-        projected = pca_transform(model, d)
-        sample_cov = np.cov(projected.values, rowvar=False)
-        off = sample_cov - np.diag(np.diag(sample_cov))
-        assert np.abs(off).max() < 1e-6
+        signs = np.tile([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], (15, 1))
+        cases = [
+            (rng.normal(size=(80, 6)), 4),
+            # rank-deficient: wider than tall, so most eigenvalues are zero
+            (rng.normal(size=(40, 300)), 30),
+            # two uncorrelated, equal-variance columns, each tripled: the
+            # eigenvalues are exactly (v, v, 0, 0, 0, 0)
+            (np.repeat(signs, 3, axis=1), 4),
+            (rng.normal(size=(800, 500)), 20),
+        ]
+        for values, k in cases:
+            d = dataset(values)
+            model = pca_fit(d, k=k)
+            assert np.allclose(model.components @ model.components.T, np.eye(k), atol=1e-6)
+            assert np.all(model.explained_variance >= 0.0)
+            assert np.all(np.diff(model.explained_variance) <= 0.0)
+            centered = d.values - model.mean
+            cov = centered.T @ centered / (d.n - 1)
+            for vec, lam in zip(model.components, model.explained_variance):
+                assert np.linalg.norm(cov @ vec - lam * vec) < 1e-8
+            # projections onto distinct components are uncorrelated
+            projected = pca_transform(model, d)
+            sample_cov = np.cov(projected.values, rowvar=False)
+            off = sample_cov - np.diag(np.diag(sample_cov))
+            assert np.abs(off).max() < 1e-6
 
     def test_sign_convention_is_deterministic(self):
         rng = np.random.default_rng(4)
@@ -185,3 +178,33 @@ def test_model_save_load_roundtrip(tmp_path):
     assert isinstance(grp_back, GrpModel)
     assert np.array_equal(grp_back.projection, grp.projection)
     assert grp_back.seed == 9
+
+
+def test_load_model_checks_the_header(tmp_path):
+    rng = np.random.default_rng(16)
+    pca_path, grp_path = tmp_path / "pca.txt", tmp_path / "grp.txt"
+    save_model(pca_fit(dataset(rng.normal(size=(30, 5))), k=3), pca_path)
+    save_model(grp_model(m=5, k=3, seed=1), grp_path)
+    pca_lines = pca_path.read_text().splitlines()
+    grp_lines = grp_path.read_text().splitlines()
+    bad = {
+        "grp-truncated": (grp_lines[:-1], "expected 3 vectors, got 2"),
+        "grp-widened": (grp_lines[:2] + [grp_lines[2] + " 0.5"] + grp_lines[3:],
+                        "line 3 holds 6 numbers, expected 5"),
+        "pca-truncated": (pca_lines[:-1], "expected 5 vectors, got 4"),
+        "pca-widened": ([pca_lines[0], pca_lines[1] + " 0.5"] + pca_lines[2:],
+                        "line 2 holds 6 numbers, expected 5"),
+        "pca-short-variances": (pca_lines[:-1] + [pca_lines[-1].rsplit(" ", 1)[0]],
+                                "line 6 holds 2 numbers, expected 3"),
+        "bad-number": ([grp_lines[0], "0.1 x 0.3 0.4 0.5"] + grp_lines[2:],
+                       "could not convert"),
+        "bad-header-number": (["grp 3 five 1"] + grp_lines[1:], "invalid literal"),
+        "zero-k": (["grp 0 5 1"], "k=0"),
+        "other-file": (["x,y", "1,2"], "not a saved reducer model"),
+    }
+    for name, (lines, message) in bad.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=message) as info:
+            load_model(path)
+        assert str(path) in str(info.value), name

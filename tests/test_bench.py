@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -363,3 +365,24 @@ class TestCli:
             return [",".join(line.split(",")[:9]) for line in lines]
 
         assert stable(tmp_path / "r1" / "results.csv") == stable(tmp_path / "r2" / "results.csv")
+
+    def test_results_match_golden_file(self, tmp_path):
+        # Columns 1-9 of results.csv on acceptance criterion 9's config. A change
+        # that alters scores on purpose rewrites tests/data/golden_results.csv
+        # and says why in CHANGES.md.
+        config = tmp_path / "run.ini"
+        config.write_text(
+            "[data]\n"
+            "source = synth\n"
+            "n = 300\nm = 20\ncontamination = 0.1\nn_informative = 4\n\n"
+            "[run]\n"
+            "reducers = none, outcentr, pca, grp\n"
+            "detectors = iforest, lof\n"
+            "seeds = 0, 1\n"
+            f"output = {tmp_path / 'r'}\n\n"
+            "[lof]\nk_neighbors = 10\n"
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        lines = (tmp_path / "r" / "results.csv").read_bytes().splitlines()
+        columns = b"".join(b",".join(line.split(b",")[:9]) + b"\n" for line in lines)
+        assert columns == (Path(__file__).parent / "data" / "golden_results.csv").read_bytes()

@@ -52,9 +52,6 @@ class TestPrf1:
         assert m.precision == m.recall == m.f1 == 1.0
         assert m.support_outliers == 5
 
-    def test_auc_left_unset(self):
-        assert prf1(Confusion(1, 1, 1, 1)).auc is None
-
 
 class TestRocAuc:
     def test_worked_example(self):

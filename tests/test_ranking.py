@@ -302,3 +302,23 @@ def test_load_rank_rejects_other_csv(tmp_path):
     path.write_text("x,y\n1,2\n")
     with pytest.raises(DataError, match="not an attribute-rank export"):
         load_rank(path)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("1", "0", "1", "0"), "not a non-empty prefix"),
+        (("0", "0", "0", "0"), "not a non-empty prefix"),
+        (("0", "1", "1", "0"), "not a non-empty prefix"),
+        (("1", "1", "2", "0"), "malformed rank row"),
+        (("1", "1", "", "0"), "malformed rank row"),
+    ],
+)
+def test_load_rank_rejects_selected_flags_that_are_not_a_prefix(tmp_path, flags, message):
+    path = tmp_path / "rank.csv"
+    lines = ["rank,attribute,distinguishability_score,selected"]
+    for i, (name, flag) in enumerate(zip("abcd", flags)):
+        lines.append(f"{i + 1},{name},{0.9 - 0.1 * i!r},{flag}")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=message):
+        load_rank(path)
