@@ -6,6 +6,16 @@ binary flags cut at a quantile threshold. Scores are a pure function of
 fitted ensemble; LOF is transductive by nature but can also score unseen
 rows against a fitted reference set for train/test workflows.
 
+The isolation forest is packed: every tree lives in one set of flat node
+arrays. All trees grow together, level by level, with each level's
+segment min/max, split and stable partition done by numpy calls across
+every node of the level. A node's split attribute is drawn one at a time
+and checked on the node's rows; only nodes whose draws keep landing on
+constant attributes get a full-width scan. One generator per fit makes
+the draws in a fixed level order. Scoring walks every (row, tree) pair of
+a row block one level per step, so memory is bounded by the block, not by
+rows x trees.
+
 LOF neighborhoods are exact, distance ties included. Euclidean candidates
 come from one matrix product per row block (the norm expansion
 ||q||^2 + ||r||^2 - 2 q.r), and only the candidates near each row's
@@ -29,12 +39,18 @@ DETECTOR_KINDS = ("iforest", "lof")
 _EULER_GAMMA = 0.5772156649015329
 # duplicate rows give zero reachability distances; floor before inverting
 _MIN_DISTANCE = 1e-12
-# selection values held at once by the neighbor search (~2 MB of float64)
+# cells one row block holds at once (~2 MB of float64): LOF's selection
+# values, the gathered columns of isolation-tree growth
 _BLOCK_CELLS = 1 << 18
 # Manhattan difference-buffer tile, allocated once per row block (~8 MB)
 _TILE_CELLS = 1 << 20
 # gathered cells per tile of the exact Euclidean recheck (~512 KB)
 _PAIR_TILE_CELLS = 1 << 16
+# (row, tree) pairs an isolation-forest scoring block walks at once (~512 KB
+# per array; 4x more ran about 1.5x slower, out of cache)
+_PATH_BLOCK_PAIRS = 1 << 16
+# draws of one attribute per isolation-tree node before all columns are scanned
+_ATTRIBUTE_DRAWS = 4
 
 
 @dataclass(frozen=True)
@@ -61,8 +77,12 @@ class DetectorConfig:
             raise DataError(f"contamination must be in (0, 0.5], got {self.contamination}")
         if self.n_trees < 1:
             raise DataError("n_trees must be >= 1")
-        if self.max_samples != "auto" and int(self.max_samples) < 2:
-            raise DataError("max_samples must be 'auto' or an integer >= 2")
+        if self.max_samples != "auto" and not (
+            isinstance(self.max_samples, (int, np.integer)) and self.max_samples >= 2
+        ):
+            raise DataError(
+                f"max_samples must be 'auto' or an integer >= 2, got {self.max_samples!r}"
+            )
         if self.k_neighbors < 1:
             raise DataError("k_neighbors must be >= 1")
 
@@ -122,115 +142,213 @@ def average_path_length(size: float) -> float:
     return 2.0 * (math.log(size - 1.0) + _EULER_GAMMA) - 2.0 * (size - 1.0) / size
 
 
-class _IsolationTree:
-    """Flat-array binary tree; leaves carry depth + c(leaf_size)."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_value")
-
-    def __init__(self, feature, threshold, left, right, leaf_value):
-        self.feature = np.array(feature, dtype=np.int64)
-        self.threshold = np.array(threshold, dtype=np.float64)
-        self.left = np.array(left, dtype=np.int64)
-        self.right = np.array(right, dtype=np.int64)
-        self.leaf_value = np.array(leaf_value, dtype=np.float64)
-        for name in self.__slots__:
-            getattr(self, name).setflags(write=False)
-
-    def path_lengths(self, x: np.ndarray) -> np.ndarray:
-        """Path length h(point) for every row of x, batched level by level."""
-        n = x.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        out = np.zeros(n, dtype=np.float64)
-        pending = np.arange(n)
-        while pending.size:
-            cur = node[pending]
-            feat = self.feature[cur]
-            at_leaf = feat < 0
-            done = pending[at_leaf]
-            out[done] = self.leaf_value[cur[at_leaf]]
-            pending = pending[~at_leaf]
-            if pending.size:
-                cur = cur[~at_leaf]
-                go_left = x[pending, self.feature[cur]] < self.threshold[cur]
-                node[pending] = np.where(go_left, self.left[cur], self.right[cur])
-        return out
-
-
-def _build_tree(sample: np.ndarray, rng: np.random.Generator, height_limit: int) -> _IsolationTree:
-    feature, threshold, left, right, leaf_value = [], [], [], [], []
-
-    def grow(rows: np.ndarray, depth: int) -> int:
-        node_id = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        leaf_value.append(0.0)
-        sub = sample[rows]
-        if depth >= height_limit or rows.size <= 1:
-            leaf_value[node_id] = depth + average_path_length(rows.size)
-            return node_id
-        lows = sub.min(axis=0)
-        highs = sub.max(axis=0)
-        splittable = np.flatnonzero(highs > lows)
-        if splittable.size == 0:
-            # all remaining points identical: nothing can separate them
-            leaf_value[node_id] = depth + average_path_length(rows.size)
-            return node_id
-        f = int(splittable[rng.integers(splittable.size)])
-        cut = rng.uniform(lows[f], highs[f])
-        mask = sub[:, f] < cut
-        if not mask.any() or mask.all():
-            leaf_value[node_id] = depth + average_path_length(rows.size)
-            return node_id
-        feature[node_id] = f
-        threshold[node_id] = cut
-        left[node_id] = grow(rows[mask], depth + 1)
-        right[node_id] = grow(rows[~mask], depth + 1)
-        return node_id
-
-    grow(np.arange(sample.shape[0]), 0)
-    return _IsolationTree(feature, threshold, left, right, leaf_value)
+def _height_limit(subsample_size: int) -> int:
+    """Tree height limit ceil(log2(subsample_size)), at least 1."""
+    return max(1, math.ceil(math.log2(subsample_size)))
 
 
 @dataclass(frozen=True)
-class IsolationForestModel:
-    """A fitted ensemble plus the training-score threshold for held-out flagging."""
+class _PackedForest:
+    """Every tree of an isolation forest in one set of flat node arrays.
 
-    trees: tuple[_IsolationTree, ...]
+    Nodes are numbered level by level across all trees, so tree t's root is
+    node ``roots[t]``. An internal node sends a row to ``left`` when the
+    row's ``feature`` value is <= ``cut`` and to ``right`` (== left + 1)
+    otherwise. A leaf has feature, left and right -1, and its ``leaf_value``
+    is its depth + c(number of subsample rows it holds).
+    """
+
+    feature: np.ndarray
+    cut: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf_value: np.ndarray
+    roots: np.ndarray
     subsample_size: int
+
+    def __post_init__(self):
+        for name in ("feature", "cut", "left", "right", "leaf_value", "roots"):
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def path_lengths(self, x: np.ndarray) -> np.ndarray:
+        """Mean path length E[h(row)] over the trees, for every row of x.
+
+        Rows are taken in blocks of about _PATH_BLOCK_PAIRS (row, tree)
+        pairs, so no array spans all rows and trees at once. Every pair of a
+        block steps down one level per iteration, height-limit iterations in
+        all; a leaf steps to itself (cut +inf), so a pair that has reached
+        its leaf stays there. Each row's sum runs over its own trees only, so
+        the block size changes no result.
+        """
+        internal = self.feature >= 0
+        feature = np.where(internal, self.feature, 0)
+        cut = np.where(internal, self.cut, np.inf)
+        child = np.where(internal, self.left, np.arange(internal.size))
+        n_trees, m = self.roots.size, x.shape[1]
+        per = max(1, _PATH_BLOCK_PAIRS // n_trees)
+        out = np.empty(x.shape[0])
+        for start in range(0, x.shape[0], per):
+            block = np.ascontiguousarray(x[start : start + per]).ravel()
+            offset = np.arange(0, block.size, m)[:, None]
+            node = np.broadcast_to(self.roots, (offset.shape[0], n_trees))
+            for _ in range(_height_limit(self.subsample_size)):
+                node = child[node] + (block[offset + feature[node]] > cut[node])
+            out[start : start + per] = self.leaf_value[node].sum(axis=1)
+        return out / n_trees
+
+    def score_samples(self, x: np.ndarray) -> np.ndarray:
+        """Anomaly score 2^(-E[h(x)] / c(subsample_size)), strictly in (0, 1)."""
+        return np.exp2(-self.path_lengths(x) / average_path_length(self.subsample_size))
+
+
+@dataclass(frozen=True)
+class IsolationForestModel(_PackedForest):
+    """A fitted packed forest plus the training-score threshold for held-out flagging."""
+
     m: int
     config: DetectorConfig
     train_scores: np.ndarray
     threshold: float
 
     def __post_init__(self):
+        super().__post_init__()
         scores = np.array(self.train_scores, dtype=np.float64)
         scores.setflags(write=False)
         object.__setattr__(self, "train_scores", scores)
 
-    def score_samples(self, x: np.ndarray) -> np.ndarray:
-        """Anomaly score 2^(-E[h(x)] / c(subsample_size)), strictly in (0, 1)."""
-        return _forest_scores(self.trees, self.subsample_size, x)
+
+def _segment_ranges(values: np.ndarray, counts: np.ndarray):
+    """Min and max of each run of ``counts[i]`` consecutive values (every count >= 1)."""
+    starts = np.cumsum(counts) - counts
+    return np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
 
 
-def _forest_scores(trees, subsample_size: int, x: np.ndarray) -> np.ndarray:
-    depths = np.zeros(x.shape[0], dtype=np.float64)
-    for tree in trees:
-        depths += tree.path_lengths(x)
-    depths /= len(trees)
-    return np.exp2(-depths / average_path_length(subsample_size))
+def _varying_columns(x: np.ndarray, rows: np.ndarray, counts: np.ndarray):
+    """(node, column) pairs, by node and then column, where x varies over the node's rows.
+
+    ``rows`` holds flat offsets (row * m) into C-ordered x; node i owns
+    ``counts[i]`` consecutive entries. Columns are scanned in blocks of
+    about _BLOCK_CELLS gathered cells.
+    """
+    m = x.shape[1]
+    width = max(1, _BLOCK_CELLS // rows.size)
+    nodes, cols = [], []
+    for c0 in range(0, m, width):
+        block = x.ravel()[rows[:, None] + np.arange(c0, min(c0 + width, m))]
+        lo, hi = _segment_ranges(block, counts)
+        node, col = np.nonzero(hi > lo)
+        nodes.append(node)
+        cols.append(col + c0)
+    nodes = np.concatenate(nodes)
+    order = np.argsort(nodes, kind="stable")
+    return nodes[order], np.concatenate(cols)[order]
+
+
+def _draw_attributes(x: np.ndarray, rows: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
+    """A split attribute per node, uniform over those that vary on its rows; -1 if none does.
+
+    ``rows`` and ``counts`` are laid out as for _varying_columns. Each node
+    draws one attribute and keeps it if it varies on the node's rows; the
+    nodes whose draw was constant draw again, up to _ATTRIBUTE_DRAWS draws.
+    Only the nodes still left have every column scanned, and they draw
+    uniformly among their varying columns. A rejected draw leaves the next
+    one uniform, so the result is exactly uniform over the varying columns
+    without a full-width scan of every node.
+    """
+    feature = np.full(counts.size, -1)
+    todo = np.arange(counts.size)
+    for _ in range(_ATTRIBUTE_DRAWS):
+        if not todo.size:
+            return feature
+        draw = rng.integers(x.shape[1], size=todo.size)
+        lo, hi = _segment_ranges(x.ravel()[rows + np.repeat(draw, counts)], counts)
+        varies = hi > lo
+        feature[todo[varies]] = draw[varies]
+        rows = rows[np.repeat(~varies, counts)]
+        todo, counts = todo[~varies], counts[~varies]
+    if todo.size:
+        nodes, cols = _varying_columns(x, rows, counts)
+        n_varying = np.bincount(nodes, minlength=todo.size)
+        some = n_varying > 0
+        pick = rng.integers(n_varying[some])
+        feature[todo[some]] = cols[(np.cumsum(n_varying) - n_varying)[some] + pick]
+    return feature
+
+
+def _grow_forest(x: np.ndarray, samples: np.ndarray, rng: np.random.Generator) -> _PackedForest:
+    """Grow one isolation tree on each row of ``samples`` (row indices into x).
+
+    All trees grow together, one level per iteration. The rows of each node
+    of the level sit consecutively in one array of flat offsets (row * m)
+    into x. A node below the height limit with two or more rows takes an
+    attribute from _draw_attributes and a cut uniform in [min, max) of that
+    attribute over its rows; a stable partition then puts the rows that go
+    left (value <= cut) ahead of the rest, so each child's rows are
+    consecutive again. A node with one row, at the height limit, or whose
+    rows are all identical is a leaf. Random draws come level by level: the
+    attribute draws of the level's nodes, then one cut per splitting node,
+    each in node order.
+    """
+    n_trees, psi = samples.shape
+    height_limit = _height_limit(psi)
+    leaf_credit = np.array([average_path_length(size) for size in range(psi + 1)])
+    x = np.ascontiguousarray(x)
+    rows, counts = samples.ravel() * x.shape[1], np.full(n_trees, psi)
+    levels = []
+    first = 0  # id of the level's first node
+    for depth in range(height_limit + 1):
+        feature = np.full(counts.size, -1)
+        if depth < height_limit:
+            live = counts > 1
+            feature[live] = _draw_attributes(x, rows[np.repeat(live, counts)], counts[live], rng)
+        split = feature >= 0
+        n_split = int(split.sum())
+        cut = np.zeros(counts.size)
+        left = np.full(counts.size, -1)
+        left[split] = first + counts.size + 2 * np.arange(n_split)
+        leaf_value = np.where(split, 0.0, depth + leaf_credit[counts])
+        if n_split:
+            rows, counts = rows[np.repeat(split, counts)], counts[split]
+            values = x.ravel()[rows + np.repeat(feature[split], counts)]
+            lo, hi = _segment_ranges(values, counts)
+            drawn = rng.uniform(lo, hi)
+            drawn = np.where(drawn < hi, drawn, lo)  # rounding may land on hi
+            cut[split] = drawn
+            node = np.repeat(np.arange(n_split), counts)
+            goes_right = values > drawn[node]
+            rows = rows[np.argsort(2 * node + goes_right, kind="stable")]
+            n_right = np.bincount(node[goes_right], minlength=n_split)
+            counts = np.column_stack([counts - n_right, n_right]).ravel()
+        levels.append((feature, cut, left, np.where(split, left + 1, -1), leaf_value))
+        first += split.size
+        if not n_split:
+            break
+    feature, cut, left, right, leaf_value = (np.concatenate(a) for a in zip(*levels))
+    return _PackedForest(feature, cut, left, right, leaf_value, np.arange(n_trees), psi)
 
 
 def iforest_fit(train: Dataset, cfg: DetectorConfig) -> IsolationForestModel:
     """Build an isolation forest on the training rows.
 
     Each tree grows on a uniform subsample of size min(max_samples, n)
-    ("auto" = 256), splitting on a uniformly random attribute at a uniform
-    random cut between that attribute's subsample min and max, down to
-    height ceil(log2(subsample_size)) or single-point (or all-duplicate)
-    nodes. The (1 - contamination) quantile of the training scores is stored
-    as the flagging threshold for held-out data. Deterministic per seed.
+    ("auto" = 256), splitting on a uniformly random attribute among those
+    that vary on the node's rows, at a uniform random cut between that
+    attribute's min and max there, down to height ceil(log2(subsample_size))
+    or single-point (or all-duplicate) nodes. All trees grow together, level
+    by level (_grow_forest), into flat node arrays. Scoring walks the
+    (row, tree) pairs of a block of about _PATH_BLOCK_PAIRS pairs one level
+    per step, so memory does not grow with rows x trees. The
+    (1 - contamination) quantile of the training scores is stored as the
+    flagging threshold for held-out data.
+
+    One generator, ``np.random.default_rng(cfg.seed)``, makes every draw, in
+    this order: the subsample of each tree, in tree order; then, level by
+    level, the attribute draws of that level's nodes (each round of draws in
+    node order, then the picks of the fully scanned nodes) and their cuts,
+    in node order. Results depend only on (data, config, seed); no block
+    size changes them.
     """
     if cfg.kind != "iforest":
         raise DataError(f"config is for {cfg.kind!r}, not iforest")
@@ -239,21 +357,16 @@ def iforest_fit(train: Dataset, cfg: DetectorConfig) -> IsolationForestModel:
         raise DataError("isolation forest needs at least 2 rows")
     resolved = 256 if cfg.max_samples == "auto" else int(cfg.max_samples)
     psi = min(resolved, n)
-    height_limit = max(1, math.ceil(math.log2(psi)))
-    trees = []
-    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
-        rng = np.random.default_rng(seq)
-        rows = rng.choice(n, size=psi, replace=False)
-        trees.append(_build_tree(train.values[rows], rng, height_limit))
-    train_scores = _forest_scores(trees, psi, train.values)
-    threshold = float(np.quantile(train_scores, 1.0 - cfg.contamination))
+    rng = np.random.default_rng(cfg.seed)
+    samples = np.stack([rng.choice(n, size=psi, replace=False) for _ in range(cfg.n_trees)])
+    forest = _grow_forest(train.values, samples, rng)
+    train_scores = forest.score_samples(train.values)
     return IsolationForestModel(
-        trees=tuple(trees),
-        subsample_size=psi,
+        **vars(forest),
         m=train.m,
         config=cfg,
         train_scores=train_scores,
-        threshold=threshold,
+        threshold=float(np.quantile(train_scores, 1.0 - cfg.contamination)),
     )
 
 

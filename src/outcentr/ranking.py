@@ -283,7 +283,10 @@ def export_rank(rank: AttributeRank, path) -> None:
 
 
 def load_rank(path) -> AttributeRank:
-    """Read an :func:`export_rank` CSV back; its 0/1 ``selected`` flags must mark a prefix."""
+    """Read an :func:`export_rank` CSV back; its 0/1 ``selected`` flags must mark a prefix.
+
+    Every ``distinguishability_score`` must parse as a finite number.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -296,7 +299,16 @@ def load_rank(path) -> AttributeRank:
         for row in reader:
             if len(row) != 4 or row[3] not in ("0", "1"):
                 raise DataError(f"malformed rank row: {row!r}")
-            entries.append((row[1], float(row[2])))
+            try:
+                score = float(row[2])
+            except ValueError:
+                score = math.nan
+            if not math.isfinite(score):
+                raise DataError(
+                    f"{path}: row {reader.line_num}: distinguishability_score "
+                    f"{row[2]!r} is not a finite number"
+                )
+            entries.append((row[1], score))
             selected.append(row[3] == "1")
     if not entries:
         raise DataError("empty rank export")

@@ -76,3 +76,30 @@ def brute_force_lof(x, k, metric="euclidean", query=None):
         own_lrd = 1.0 / max(sum(reach) / len(reach), LOF_DISTANCE_FLOOR)
         query_lof.append(sum(lrd[j] for j in neighborhood) / len(neighborhood) / own_lrd)
     return np.array(query_lof)
+
+
+def isolation_tree_path(feature, cut, left, right, root, point):
+    """Nodes that ``point`` visits in one isolation tree, from ``root`` to its leaf.
+
+    A node whose feature is negative is a leaf; at any other node the point
+    goes left when its value of that feature is <= the node's cut.
+    """
+    path = [int(root)]
+    while feature[path[-1]] >= 0:
+        node = path[-1]
+        path.append(int(left[node] if point[feature[node]] <= cut[node] else right[node]))
+    return path
+
+
+def isolation_path_lengths(forest, x):
+    """Mean over trees of the leaf value each row of x reaches, one row and one tree at a time."""
+    lengths = []
+    for point in np.asarray(x, dtype=float):
+        total = 0.0
+        for root in forest.roots:
+            leaf = isolation_tree_path(
+                forest.feature, forest.cut, forest.left, forest.right, root, point
+            )[-1]
+            total += forest.leaf_value[leaf]
+        lengths.append(total / len(forest.roots))
+    return np.array(lengths)

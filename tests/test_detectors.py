@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from outcentr import detectors
 from outcentr.data import DISTANCE_METRICS, Context, DataError, Dataset
 from outcentr.detectors import (
     DetectorConfig,
@@ -18,7 +20,7 @@ from outcentr.detectors import (
     write_detection_csv,
 )
 
-from oracles import brute_force_lof
+from oracles import brute_force_lof, isolation_path_lengths, isolation_tree_path
 
 
 def dataset(values, labels=None):
@@ -74,13 +76,20 @@ class TestDetectorConfig:
         with pytest.raises(DataError):
             DetectorConfig(kind="lof", contamination=0.1, k_neighbors=0)
 
+    @pytest.mark.parametrize("max_samples", [1, 0, -3, 2.5, 2.0, "abc", "", None, True])
+    def test_max_samples_is_auto_or_an_integer_of_at_least_two(self, max_samples):
+        with pytest.raises(DataError, match="max_samples"):
+            DetectorConfig(kind="iforest", contamination=0.1, max_samples=max_samples)
+        for good in ("auto", 2, np.int64(300)):
+            assert DetectorConfig(kind="iforest", contamination=0.1, max_samples=good)
+
 
 class TestIsolationForest:
     def test_identical_rows_give_flat_scores(self):
         d = dataset(np.tile([0.3, 0.7], (20, 1)))
         forest = iforest_fit(d, iforest_cfg(n_trees=10, seed=1))
         # nothing separates duplicates, so every tree is a single leaf
-        assert all(tree.feature.size == 1 for tree in forest.trees)
+        assert forest.feature.size == 10
         scores = forest.score_samples(d.values)
         assert np.all(scores == scores[0])
         assert 0.0 < scores[0] < 1.0
@@ -164,6 +173,61 @@ class TestIsolationForest:
     def test_too_few_rows(self):
         with pytest.raises(DataError):
             iforest_fit(dataset([[1.0, 2.0]]), iforest_cfg())
+
+    def test_packed_forest_matches_per_tree_walk(self):
+        rng = np.random.default_rng(21)
+        spread = rng.normal(size=(300, 6))
+        spread[:, 2] = 1.5  # a constant column
+        spread[200:] = spread[rng.integers(0, 200, size=100)]  # duplicate rows
+        # one varying column out of 40 (with ties): every split must use it,
+        # and most nodes reach the full scan after their single draws miss
+        one_column = np.zeros((200, 40))
+        one_column[:, 17] = rng.integers(0, 30, size=200) * 0.5
+        for x, psi, column in ((spread, 64, None), (one_column, 128, 17)):
+            samples = np.stack([rng.choice(x.shape[0], size=psi, replace=False) for _ in range(12)])
+            forest = detectors._grow_forest(x, samples, np.random.default_rng(5))
+            height_limit = math.ceil(math.log2(psi))
+            if column is not None:
+                assert set(forest.feature[forest.feature >= 0]) == {column}
+            tree_arrays = (forest.feature, forest.cut, forest.left, forest.right)
+            held = {}  # node -> (depth, subsample rows reaching it)
+            for root, sample in zip(forest.roots, samples):
+                for row in sample:
+                    for depth, node in enumerate(isolation_tree_path(*tree_arrays, root, x[row])):
+                        held.setdefault(node, (depth, []))[1].append(row)
+            # every node holds rows, so every split has two non-empty parts
+            assert sorted(held) == list(range(forest.feature.size))
+            for node, (depth, rows) in held.items():
+                f = forest.feature[node]
+                if f >= 0:
+                    values = x[rows, f]
+                    assert values.min() <= forest.cut[node] < values.max()
+                    continue
+                assert forest.leaf_value[node] == depth + average_path_length(len(rows))
+                if depth < height_limit and len(rows) > 1:
+                    assert len(np.unique(x[rows], axis=0)) == 1
+            # rows equal to each root's cut in every column test the <= rule
+            on_cuts = np.repeat(forest.cut[forest.roots][:, None], x.shape[1], axis=1)
+            query = np.vstack([x, rng.normal(size=(20, x.shape[1])) * 3, on_cuts])
+            assert np.allclose(
+                forest.path_lengths(query), isolation_path_lengths(forest, query), rtol=0, atol=1e-12
+            )
+        model = iforest_fit(dataset(spread), iforest_cfg(n_trees=15, max_samples=100, seed=4))
+        assert np.allclose(
+            model.path_lengths(spread), isolation_path_lengths(model, spread), rtol=0, atol=1e-12
+        )
+
+    def test_block_sizes_change_no_result(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(500, 30))
+        x[:, 5:] = 0.0  # constant columns send many nodes to the full scan
+        cfg = iforest_cfg(n_trees=20, seed=8)
+        expected = iforest_fit(dataset(x), cfg)
+        monkeypatch.setattr(detectors, "_BLOCK_CELLS", 7)
+        monkeypatch.setattr(detectors, "_PATH_BLOCK_PAIRS", 3 * 20 + 1)
+        model = iforest_fit(dataset(x), cfg)
+        for name in ("feature", "cut", "left", "right", "leaf_value", "train_scores"):
+            assert np.array_equal(getattr(model, name), getattr(expected, name)), name
 
     def test_average_path_length_values(self):
         assert average_path_length(1) == 0.0
@@ -299,6 +363,31 @@ def test_lof_follows_permutation_and_ignores_translation(data, metric):
     assert np.allclose(permuted, scores[perm], rtol=1e-9, atol=0)
     translated = lof_fit_predict(dataset(x + shift), cfg, context).scores
     assert np.allclose(translated, scores, rtol=1e-9, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_iforest_scores_lie_in_unit_interval_and_repeat_per_seed(data):
+    n = data.draw(st.integers(2, 30), label="n")
+    m = data.draw(st.integers(1, 5), label="m")
+    # half steps on a small grid give duplicate rows; some columns constant
+    x = data.draw(arrays(np.int64, (n, m), elements=st.integers(-3, 3)), label="x") * 0.5
+    x[:, data.draw(arrays(bool, m), label="constant")] = 1.25
+    x = np.vstack([x, x[data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="dups")]])
+    test = data.draw(
+        arrays(np.float64, (5, m), elements=st.floats(-4, 4, allow_nan=False)), label="test"
+    )
+    cfg = iforest_cfg(
+        n_trees=data.draw(st.integers(1, 20), label="n_trees"),
+        max_samples=data.draw(st.sampled_from(["auto", 2, 3, 16]), label="max_samples"),
+        seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+    )
+    model, again = iforest_fit(dataset(x), cfg), iforest_fit(dataset(x), cfg)
+    test_scores = iforest_score(model, dataset(test)).scores
+    for scores in (model.train_scores, test_scores):
+        assert np.all((scores > 0.0) & (scores < 1.0))
+    assert np.array_equal(model.train_scores, again.train_scores)
+    assert np.array_equal(test_scores, iforest_score(again, dataset(test)).scores)
 
 
 def test_detection_export(tmp_path):

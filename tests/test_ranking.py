@@ -322,3 +322,14 @@ def test_load_rank_rejects_selected_flags_that_are_not_a_prefix(tmp_path, flags,
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=message):
         load_rank(path)
+
+
+@pytest.mark.parametrize("score", ["x", "", "nan", "inf", "-inf"])
+def test_load_rank_rejects_scores_that_are_not_finite_numbers(tmp_path, score):
+    path = tmp_path / "rank.csv"
+    path.write_text(
+        "rank,attribute,distinguishability_score,selected\n"
+        f"1,a,0.9,1\n2,b,{score},0\n"
+    )
+    with pytest.raises(DataError, match=r"rank\.csv: row 3: distinguishability_score"):
+        load_rank(path)
