@@ -22,19 +22,13 @@ from .bench import (
     CellResult,
     ConfigError,
     ExperimentReport,
-    RankDiff,
-    RankDiffEntry,
     RunConfig,
     RunError,
     emit_report,
     load_run_config,
-    rank_diff,
     run_experiment,
-    time_phase,
-    write_rank_diff_csv,
 )
 from .data import (
-    Context,
     DataError,
     Dataset,
     SplitPair,
@@ -55,7 +49,6 @@ from .detectors import (
     lof_fit,
     lof_fit_predict,
     lof_score,
-    write_detection_csv,
 )
 from .metrics import Confusion, MetricSet, confusion, prf1, roc_auc
 from .ranking import (
@@ -63,6 +56,8 @@ from .ranking import (
     AttributeScoreReport,
     Centroid,
     LabelPartition,
+    RankDiff,
+    RankDiffEntry,
     attribute_rank,
     attribute_scores,
     compute_centroid,
@@ -71,8 +66,10 @@ from .ranking import (
     fit_reducer,
     load_rank,
     partition_labels,
+    rank_diff,
     top_t,
     transform,
+    write_rank_diff_csv,
 )
 from .synth import SynthSpec, generate, save_synth
 

@@ -6,6 +6,11 @@ stratified split; all reducers in a cell share that split and the same
 output dimensionality k, and nothing derived from test rows leaks into
 fitting. Timings cover the detector fit and predict phases only, so reduced
 and full runs compare detector cost at equal footing.
+
+Run configs and synth spec files are read by one INI reader, driven by a
+table from (section, key) to dataclass field and parser. A key the file
+leaves out is not passed on, so the defaults of :class:`RunConfig`,
+:class:`SynthSpec` and :class:`DetectorConfig` are the only defaults.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ from pathlib import Path
 
 from .baselines import grp_model, grp_transform, pca_fit, pca_transform, save_model
 from .data import (
-    DISTANCE_METRICS,
-    Context,
     DataError,
     Dataset,
     apply_normalization,
@@ -29,6 +32,8 @@ from .data import (
     split,
 )
 from .detectors import (
+    DETECTOR_KINDS,
+    DISTANCE_METRICS,
     DetectorConfig,
     iforest_fit,
     iforest_score,
@@ -37,11 +42,10 @@ from .detectors import (
     lof_score,
 )
 from .metrics import confusion, prf1, roc_auc
-from .ranking import AttributeRank, export_rank, fit_reducer, load_rank, top_t, transform
+from .ranking import AttributeRank, export_rank, fit_reducer, top_t, transform
 from .synth import SynthSpec, generate
 
 REDUCERS = ("none", "outcentr", "pca", "grp")
-DETECTORS = ("iforest", "lof")
 
 
 class ConfigError(ValueError):
@@ -50,19 +54,6 @@ class ConfigError(ValueError):
 
 class RunError(RuntimeError):
     """A pipeline failure, tagged with the experiment cell that raised it."""
-
-
-def time_phase(action) -> float:
-    """Monotonic wall-clock seconds spent executing ``action()``."""
-    start = time.perf_counter()
-    action()
-    return max(time.perf_counter() - start, 1e-9)
-
-
-def _timed(action):
-    box = []
-    seconds = time_phase(lambda: box.append(action()))
-    return box[0], seconds
 
 
 @dataclass(frozen=True)
@@ -84,10 +75,10 @@ class RunConfig:
     output_dir: str = "results"
     transductive: bool = False
     label_budget: float = 1.0
-    metric: str = "euclidean"
-    n_trees: int = 100
-    max_samples: int | str = "auto"
-    k_neighbors: int = 20
+    metric: str = DetectorConfig.metric
+    n_trees: int = DetectorConfig.n_trees
+    max_samples: int | str = DetectorConfig.max_samples
+    k_neighbors: int = DetectorConfig.k_neighbors
     save_model_dir: str | None = None
 
     def __post_init__(self):
@@ -107,8 +98,8 @@ class RunConfig:
             if r not in REDUCERS:
                 raise ConfigError(f"unknown reducer {r!r} (choose from {REDUCERS})")
         for det in self.detectors:
-            if det not in DETECTORS:
-                raise ConfigError(f"unknown detector {det!r} (choose from {DETECTORS})")
+            if det not in DETECTOR_KINDS:
+                raise ConfigError(f"unknown detector {det!r} (choose from {DETECTOR_KINDS})")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if not 0.0 < self.t_fraction <= 1.0:
@@ -121,29 +112,64 @@ class RunConfig:
             raise ConfigError(f"metric must be one of {DISTANCE_METRICS}")
 
 
-_SECTION_KEYS = {
-    "data": {
-        "source", "csv", "label", "positive_token", "negative_token", "name",
-        "n", "m", "contamination", "n_informative", "separation",
-    },
-    "run": {
-        "reducers", "detectors", "seeds", "t_fraction", "split", "output",
-        "transductive", "label_budget", "metric",
-    },
-    "iforest": {"n_trees", "max_samples"},
-    "lof": {"k_neighbors"},
-}
-
-
 def _parse_list(raw: str) -> tuple[str, ...]:
     return tuple(item.strip() for item in raw.split(",") if item.strip())
 
 
-def load_run_config(path) -> RunConfig:
-    """Parse a run config file (flat ``key = value`` lines under [section] headers).
+def _parse_seeds(raw: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in _parse_list(raw))
 
-    Sections and keys outside the documented grammar are rejected so typos
-    fail loudly instead of silently running defaults.
+
+def _parse_bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+def _parse_max_samples(raw: str) -> int | str:
+    return raw if raw == "auto" else int(raw)
+
+
+# SynthSpec field -> parser; each is also the key's name in [data] and [synth]
+_SYNTH_KEYS = {
+    "n": int, "m": int, "contamination": float, "n_informative": int, "separation": float,
+}
+# (section, key) -> (dataclass field, parser of the raw string)
+_RUN_KEYS = {
+    ("data", "source"): ("source", str),
+    ("data", "csv"): ("csv_path", str),
+    ("data", "label"): ("label_column", str),
+    ("data", "positive_token"): ("positive_token", str),
+    ("data", "negative_token"): ("negative_token", str),
+    ("data", "name"): ("dataset_name", str),
+    **{("data", key): (key, parse) for key, parse in _SYNTH_KEYS.items()},
+    ("run", "reducers"): ("reducers", _parse_list),
+    ("run", "detectors"): ("detectors", _parse_list),
+    ("run", "seeds"): ("seeds", _parse_seeds),
+    ("run", "t_fraction"): ("t_fraction", float),
+    ("run", "split"): ("split_fraction", float),
+    ("run", "output"): ("output_dir", str),
+    ("run", "transductive"): ("transductive", _parse_bool),
+    ("run", "label_budget"): ("label_budget", float),
+    ("run", "metric"): ("metric", str),
+    ("iforest", "n_trees"): ("n_trees", int),
+    ("iforest", "max_samples"): ("max_samples", _parse_max_samples),
+    ("lof", "k_neighbors"): ("k_neighbors", int),
+}
+_SPEC_KEYS = {
+    **{("synth", key): (key, parse) for key, parse in _SYNTH_KEYS.items()},
+    ("synth", "seed"): ("seed", int),
+}
+
+
+def _read_ini(path, keys) -> dict:
+    """Parse an INI file against a key table; returns {field: value} for the keys it sets.
+
+    ``keys`` maps (section, key) to (field, parser). Sections and keys
+    outside the table are rejected, so typos fail loudly instead of silently
+    running defaults, and so is a value its parser rejects. Keys the file
+    leaves out are left out of the result.
     """
     path = Path(path)
     if not path.exists():
@@ -153,71 +179,59 @@ def load_run_config(path) -> RunConfig:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in {s for s, _ in keys}:
             raise ConfigError(f"unknown section [{section}]")
-        unknown = set(parser[section]) - _SECTION_KEYS[section]
+        unknown = sorted(key for key in parser[section] if (section, key) not in keys)
         if unknown:
-            raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    if not parser.has_section("data") or not parser.has_section("run"):
-        raise ConfigError("config needs [data] and [run] sections")
+            raise ConfigError(f"unknown keys in [{section}]: {unknown}")
+    values = {}
+    for (section, key), (field, parse) in keys.items():
+        if parser.has_option(section, key):
+            try:
+                values[field] = parse(parser.get(section, key))
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key!r} in [{section}]: {exc}") from exc
+    return values
 
-    data = parser["data"]
-    run = parser["run"]
+
+def _require(values: dict, keys, section: str, names) -> None:
+    for key in names:
+        if keys[section, key][0] not in values:
+            raise ConfigError(f"missing required key {key!r} in [{section}]")
+
+
+def _synth_spec(values: dict, keys, section: str) -> SynthSpec:
+    _require(values, keys, section, ["n", "m", "contamination"])
     try:
-        source = data.get("source", "")
-        synth = None
-        csv_path = data.get("csv", fallback=None)
-        label_column = data.get("label", fallback=None)
-        if source == "synth":
-            synth = SynthSpec(
-                n=data.getint("n"),
-                m=data.getint("m"),
-                contamination=data.getfloat("contamination"),
-                n_informative=data.getint("n_informative", fallback=None),
-                separation=data.getfloat("separation", fallback=4.0),
-            )
-        name = data.get("name", fallback=None)
-        if name is None:
-            if source == "csv" and csv_path:
-                name = Path(csv_path).stem
-            elif synth is not None:
-                name = f"synth-n{synth.n}-m{synth.m}-c{synth.contamination:g}"
-            else:
-                name = "dataset"
-        return RunConfig(
-            source=source,
-            dataset_name=name,
-            csv_path=csv_path,
-            label_column=label_column,
-            positive_token=data.get("positive_token", fallback="1"),
-            negative_token=data.get("negative_token", fallback="0"),
-            synth=synth,
-            reducers=_parse_list(run.get("reducers", "")),
-            detectors=_parse_list(run.get("detectors", "")),
-            seeds=tuple(int(s) for s in _parse_list(run.get("seeds", ""))),
-            t_fraction=run.getfloat("t_fraction", fallback=0.10),
-            split_fraction=run.getfloat("split", fallback=0.8),
-            output_dir=run.get("output", fallback="results"),
-            transductive=run.getboolean("transductive", fallback=False),
-            label_budget=run.getfloat("label_budget", fallback=1.0),
-            metric=run.get("metric", fallback="euclidean"),
-            n_trees=parser.getint("iforest", "n_trees", fallback=100),
-            max_samples=_parse_max_samples(
-                parser.get("iforest", "max_samples", fallback="auto")
-            ),
-            k_neighbors=parser.getint("lof", "k_neighbors", fallback=20),
-        )
-    except (ValueError, DataError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+        return SynthSpec(**values)
+    except DataError as exc:
+        raise ConfigError(f"bad synth spec: {exc}") from exc
 
 
-def _parse_max_samples(raw: str) -> int | str:
-    raw = raw.strip()
-    return raw if raw == "auto" else int(raw)
+def load_run_config(path) -> RunConfig:
+    """Read a run config file (flat ``key = value`` lines under [section] headers).
+
+    [data] source and [run] reducers, detectors and seeds are required, and
+    so are n, m and contamination for a synth source. The display name
+    defaults to the CSV file's stem or to ``synth-n..-m..-c..``.
+    """
+    values = _read_ini(path, _RUN_KEYS)
+    _require(values, _RUN_KEYS, "data", ["source"])
+    _require(values, _RUN_KEYS, "run", ["reducers", "detectors", "seeds"])
+    synth = {key: values.pop(key) for key in _SYNTH_KEYS if key in values}
+    if values["source"] == "synth":
+        spec = values["synth"] = _synth_spec(synth, _RUN_KEYS, "data")
+        name = f"synth-n{spec.n}-m{spec.m}-c{spec.contamination:g}"
+    else:
+        name = Path(values.get("csv_path", "dataset")).stem
+    values.setdefault("dataset_name", name)
+    return RunConfig(**values)
+
+
+def load_synth_spec(path) -> SynthSpec:
+    """Read a synth spec file: one [synth] section, n, m and contamination required."""
+    return _synth_spec(_read_ini(path, _SPEC_KEYS), _SPEC_KEYS, "synth")
 
 
 @dataclass(frozen=True)
@@ -297,7 +311,7 @@ def _reduce(reducer, train, test, t, seed, cfg):
     raise ConfigError(f"unknown reducer {reducer!r}")
 
 
-def _detect(det_cfg, train_red, test_red, transductive, context):
+def _detect(det_cfg, train_red, test_red, transductive):
     """Fit and score one detector; returns (DetectionResult, fit_s, predict_s).
 
     Inductive mode (default) thresholds test scores at the train-score
@@ -305,18 +319,19 @@ def _detect(det_cfg, train_red, test_red, transductive, context):
     forest keeps its train fit but thresholds on test scores, while LOF is
     recomputed on the test set alone (its fit phase is then empty).
     """
+    start = time.perf_counter()
     if det_cfg.kind == "iforest":
-        model, fit_s = _timed(lambda: iforest_fit(train_red, det_cfg))
-        result, predict_s = _timed(
-            lambda: iforest_score(model, test_red, transductive=transductive)
-        )
+        model = iforest_fit(train_red, det_cfg)
+        fitted = time.perf_counter()
+        result = iforest_score(model, test_red, transductive=transductive)
     elif transductive:
-        fit_s = 0.0
-        result, predict_s = _timed(lambda: lof_fit_predict(test_red, det_cfg, context))
+        fitted = start
+        result = lof_fit_predict(test_red, det_cfg)
     else:
-        model, fit_s = _timed(lambda: lof_fit(train_red, det_cfg, context))
-        result, predict_s = _timed(lambda: lof_score(model, test_red))
-    return result, fit_s, predict_s
+        model = lof_fit(train_red, det_cfg)
+        fitted = time.perf_counter()
+        result = lof_score(model, test_red)
+    return result, fitted - start, time.perf_counter() - fitted
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentReport:
@@ -328,7 +343,6 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     Contamination is the outlier ratio of the training labels (capped at
     0.5). Any failure is re-raised tagged with its cell.
     """
-    context = Context(dist=cfg.metric)
     save_dir = Path(cfg.save_model_dir) if cfg.save_model_dir else None
     if save_dir is not None:
         save_dir.mkdir(parents=True, exist_ok=True)
@@ -363,9 +377,10 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
                         max_samples=cfg.max_samples,
                         k_neighbors=cfg.k_neighbors,
                         seed=seed,
+                        metric=cfg.metric,
                     )
                     result, fit_s, predict_s = _detect(
-                        det_cfg, train_red, test_red, cfg.transductive, context
+                        det_cfg, train_red, test_red, cfg.transductive
                     )
                     counts = confusion(result.flags, test_red.labels)
                     scored = prf1(counts)
@@ -459,89 +474,3 @@ def emit_report(report: ExperimentReport, out_dir) -> tuple[Path, Path, Path]:
         lines.append("")
     summary_path.write_text("\n".join(lines), encoding="utf-8")
     return results_path, summary_path, timings_path
-
-
-@dataclass(frozen=True)
-class RankDiffEntry:
-    """One attribute's position in two rank exports; None marks an absent side."""
-
-    attribute: str
-    rank_a: int | None
-    rank_b: int | None
-    score_a: float | None
-    score_b: float | None
-    rank_delta: int | None
-    selected_a: bool | None
-    selected_b: bool | None
-
-
-@dataclass(frozen=True)
-class RankDiff:
-    """Join of two attribute-rank exports, largest rank movements first."""
-
-    rank_a: AttributeRank
-    rank_b: AttributeRank
-    entries: tuple[RankDiffEntry, ...]
-
-
-def rank_diff(path_a, path_b) -> RankDiff:
-    """Diff two rank exports: per-attribute rank positions, scores, and deltas.
-
-    Entries are sorted by absolute rank movement, descending; attributes
-    present on only one side come last, marked absent on the other.
-    """
-    rank_a = load_rank(path_a)
-    rank_b = load_rank(path_b)
-
-    def positions(rank: AttributeRank):
-        return {
-            name: (pos, score, pos <= rank.t)
-            for pos, (name, score) in enumerate(rank.entries, start=1)
-        }
-
-    in_a = positions(rank_a)
-    in_b = positions(rank_b)
-    entries = []
-    for name in dict.fromkeys(list(in_a) + list(in_b)):
-        a = in_a.get(name)
-        b = in_b.get(name)
-        entries.append(
-            RankDiffEntry(
-                attribute=name,
-                rank_a=a[0] if a else None,
-                rank_b=b[0] if b else None,
-                score_a=a[1] if a else None,
-                score_b=b[1] if b else None,
-                rank_delta=(b[0] - a[0]) if a and b else None,
-                selected_a=a[2] if a else None,
-                selected_b=b[2] if b else None,
-            )
-        )
-    entries.sort(
-        key=lambda e: (e.rank_delta is None, -abs(e.rank_delta or 0), e.attribute)
-    )
-    return RankDiff(rank_a=rank_a, rank_b=rank_b, entries=tuple(entries))
-
-
-def write_rank_diff_csv(diff: RankDiff, path) -> None:
-    """Export a rank diff as CSV; absent sides are left empty."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["attribute", "rank_a", "rank_b", "score_a", "score_b",
-             "rank_delta", "selected_a", "selected_b"]
-        )
-        for e in diff.entries:
-            writer.writerow(
-                [
-                    e.attribute,
-                    "" if e.rank_a is None else e.rank_a,
-                    "" if e.rank_b is None else e.rank_b,
-                    "" if e.score_a is None else repr(e.score_a),
-                    "" if e.score_b is None else repr(e.score_b),
-                    "" if e.rank_delta is None else e.rank_delta,
-                    "" if e.selected_a is None else int(e.selected_a),
-                    "" if e.selected_b is None else int(e.selected_b),
-                ]
-            )

@@ -7,20 +7,12 @@ bad config file), 2 on a runtime error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bench import (
-    ConfigError,
-    emit_report,
-    load_run_config,
-    rank_diff,
-    run_experiment,
-    write_rank_diff_csv,
-)
+from .bench import ConfigError, emit_report, load_run_config, load_synth_spec, run_experiment
 from .data import load_csv, normalize_minmax
 from .ranking import (
     attribute_scores,
@@ -28,8 +20,10 @@ from .ranking import (
     export_rank,
     fit_reducer,
     partition_labels,
+    rank_diff,
+    write_rank_diff_csv,
 )
-from .synth import SynthSpec, generate, save_synth
+from .synth import generate, save_synth
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,40 +101,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = _load_synth_spec(args.spec)
+    spec = load_synth_spec(args.spec)
     dataset, informative = generate(spec)
     for path in save_synth(dataset, informative, args.out):
         print(path)
     return 0
-
-
-def _load_synth_spec(path) -> SynthSpec:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"no such spec file: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if not parser.has_section("synth"):
-        raise ConfigError("spec file needs a [synth] section")
-    section = parser["synth"]
-    known = {"n", "m", "contamination", "n_informative", "separation", "seed"}
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in [synth]: {sorted(unknown)}")
-    try:
-        return SynthSpec(
-            n=section.getint("n"),
-            m=section.getint("m"),
-            contamination=section.getfloat("contamination"),
-            n_informative=section.getint("n_informative", fallback=None),
-            separation=section.getfloat("separation", fallback=4.0),
-            seed=section.getint("seed", fallback=0),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synth spec: {exc}") from exc
 
 
 def _cmd_rank(args) -> int:

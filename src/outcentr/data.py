@@ -13,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-DISTANCE_METRICS = ("euclidean", "manhattan")
-
 
 class DataError(ValueError):
     """Malformed input data or an inconsistent dataset operation."""
@@ -113,21 +111,6 @@ class SplitPair:
     seed: int
 
 
-@dataclass(frozen=True)
-class Context:
-    """Scope of an outlier-detection task: the distance metric LOF uses.
-
-    Each detector derives its flagging threshold from its own contamination
-    setting, not from here.
-    """
-
-    dist: str = "euclidean"
-
-    def __post_init__(self):
-        if self.dist not in DISTANCE_METRICS:
-            raise DataError(f"unknown distance metric {self.dist!r}")
-
-
 def encode_categoricals(raw) -> tuple[np.ndarray, tuple[str, ...]]:
     """Ordinal-encode a column of strings by first appearance.
 
@@ -168,12 +151,12 @@ def load_csv(
 ) -> Dataset:
     """Load a comma-separated file into a Dataset.
 
-    First row is the header. A column where every cell parses as a finite
-    number is kept numeric; any other column is ordinal-encoded by first
-    appearance. Empty cells are rejected (no imputation). When
-    ``label_column`` is given, that column is removed from the attributes and
-    stored as binary labels; its values must match the positive/negative
-    tokens or the literals 1/0.
+    First row is the header. A column where every cell parses as a number
+    is kept numeric, and each of those numbers must be finite; any other
+    column is ordinal-encoded by first appearance. Empty cells are rejected
+    wherever they sit (no imputation). When ``label_column`` is given, that
+    column is removed from the attributes and stored as binary labels; its
+    values must match the positive/negative tokens or the literals 1/0.
     """
     path = Path(path)
     if not path.exists():
@@ -216,23 +199,19 @@ def load_csv(
     encodings = []
     for j, name in enumerate(header):
         column = [row[j] for row in rows]
-        numeric = np.empty(n, dtype=np.float64)
-        is_numeric = True
-        for i, cell in enumerate(column):
-            if cell == "":
-                raise DataError(f"missing value in column {name!r}, row {i + 1}")
-            try:
-                numeric[i] = float(cell)
-            except ValueError:
-                is_numeric = False
-                break
-            if not np.isfinite(numeric[i]):
-                raise DataError(f"non-finite value in column {name!r}, row {i + 1}")
-        if is_numeric:
-            values[:, j] = numeric
-        else:
+        if "" in column:
+            raise DataError(f"missing value in column {name!r}, row {column.index('') + 1}")
+        try:
+            numeric = np.fromiter(map(float, column), dtype=np.float64, count=n)
+        except ValueError:
             values[:, j], levels = encode_categoricals(column)
             encodings.append((name, levels))
+            continue
+        finite = np.isfinite(numeric)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DataError(f"non-finite value in column {name!r}, row {i + 1}")
+        values[:, j] = numeric
 
     return Dataset(
         values=values,

@@ -16,10 +16,11 @@ the draws in a fixed level order. Scoring walks every (row, tree) pair of
 a row block one level per step, so memory is bounded by the block, not by
 rows x trees.
 
-LOF neighborhoods are exact, distance ties included. Euclidean candidates
-come from one matrix product per row block (the norm expansion
-||q||^2 + ||r||^2 - 2 q.r), and only the candidates near each row's
-k-distance have their distances recomputed from explicit differences.
+LOF neighborhoods are exact, distance ties included, under the metric the
+detector config names. Euclidean candidates come from one matrix product
+per row block (the norm expansion ||q||^2 + ||r||^2 - 2 q.r), and only the
+candidates near each row's k-distance have their distances recomputed from
+explicit differences.
 Neighbor lists are stored flat (CSR) and reduced with ``np.bincount``.
 """
 
@@ -27,14 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import Context, DataError, Dataset
+from .data import DataError, Dataset
 
 DETECTOR_KINDS = ("iforest", "lof")
+DISTANCE_METRICS = ("euclidean", "manhattan")
 
 _EULER_GAMMA = 0.5772156649015329
 # duplicate rows give zero reachability distances; floor before inverting
@@ -60,7 +61,9 @@ class DetectorConfig:
     ``contamination`` is the assumed outlier fraction; it sets the score
     quantile used as the flagging threshold. ``n_trees``/``max_samples``
     apply to the isolation forest ("auto" resolves to min(256, n));
-    ``k_neighbors`` applies to LOF.
+    ``k_neighbors`` and the distance ``metric`` (one of DISTANCE_METRICS)
+    apply to LOF. Counts must be integers (numpy integers included, bool
+    not).
     """
 
     kind: str
@@ -69,22 +72,28 @@ class DetectorConfig:
     max_samples: int | str = "auto"
     k_neighbors: int = 20
     seed: int = 0
+    metric: str = "euclidean"
 
     def __post_init__(self):
         if self.kind not in DETECTOR_KINDS:
             raise DataError(f"unknown detector kind {self.kind!r}")
         if not 0.0 < self.contamination <= 0.5:
             raise DataError(f"contamination must be in (0, 0.5], got {self.contamination}")
-        if self.n_trees < 1:
-            raise DataError("n_trees must be >= 1")
-        if self.max_samples != "auto" and not (
-            isinstance(self.max_samples, (int, np.integer)) and self.max_samples >= 2
-        ):
+        if not _is_integer_of_at_least(self.n_trees, 1):
+            raise DataError(f"n_trees must be an integer >= 1, got {self.n_trees!r}")
+        if self.max_samples != "auto" and not _is_integer_of_at_least(self.max_samples, 2):
             raise DataError(
                 f"max_samples must be 'auto' or an integer >= 2, got {self.max_samples!r}"
             )
-        if self.k_neighbors < 1:
-            raise DataError("k_neighbors must be >= 1")
+        if not _is_integer_of_at_least(self.k_neighbors, 1):
+            raise DataError(f"k_neighbors must be an integer >= 1, got {self.k_neighbors!r}")
+        if self.metric not in DISTANCE_METRICS:
+            raise DataError(f"unknown distance metric {self.metric!r}")
+
+
+def _is_integer_of_at_least(value, low: int) -> bool:
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return integer and value >= low
 
 
 @dataclass(frozen=True)
@@ -114,14 +123,6 @@ def _threshold_and_flags(scores: np.ndarray, reference_scores: np.ndarray, conta
     threshold = float(np.quantile(reference_scores, 1.0 - contamination))
     flags = (scores > threshold).astype(np.int64)
     return threshold, flags
-
-
-def write_detection_csv(result: DetectionResult, path) -> None:
-    """Export a detection result as CSV: row_index, score, flag."""
-    lines = ["row_index,score,flag"]
-    for i, (score, flag) in enumerate(zip(result.scores, result.flags)):
-        lines.append(f"{i},{score!r},{int(flag)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +498,8 @@ def _neighborhoods(query: np.ndarray, ref: np.ndarray, k: int, metric: str, excl
         margin = 4 * (m + 2) * np.finfo(np.float64).eps * (
             np.einsum("ij,ij->i", query, query) + ref_sq.max()
         )
-    elif metric == "manhattan":
-        margin = np.zeros(n_q)
     else:
-        raise DataError(f"unknown distance metric {metric!r}")
+        margin = np.zeros(n_q)
     kdist = np.empty(n_q)
     indices, distances, counts = [], [], []
     for start in range(0, n_q, block):
@@ -576,7 +575,6 @@ class LofModel:
     train_scores: np.ndarray
     threshold: float
     config: DetectorConfig
-    metric: str
 
     def __post_init__(self):
         for field in ("reference", "kdist", "lrd", "train_scores"):
@@ -585,37 +583,30 @@ class LofModel:
             object.__setattr__(self, field, arr)
 
 
-def _lof_metric(context: Context | None) -> str:
-    return context.dist if context is not None else "euclidean"
-
-
-def lof_fit_predict(
-    d: Dataset, cfg: DetectorConfig, context: Context | None = None
-) -> DetectionResult:
+def lof_fit_predict(d: Dataset, cfg: DetectorConfig) -> DetectionResult:
     """Transductive LOF: score and flag the rows of one dataset.
 
-    Scores are LOF values (about 1 for inliers, well above 1 for outliers);
-    the threshold is the (1 - contamination) quantile of those same scores.
+    Distances follow ``cfg.metric``. Scores are LOF values (about 1 for
+    inliers, well above 1 for outliers); the threshold is the
+    (1 - contamination) quantile of those same scores.
     """
     if cfg.kind != "lof":
         raise DataError(f"config is for {cfg.kind!r}, not lof")
-    _, _, lof = _lof_reference_stats(d.values, cfg.k_neighbors, _lof_metric(context))
+    _, _, lof = _lof_reference_stats(d.values, cfg.k_neighbors, cfg.metric)
     threshold, flags = _threshold_and_flags(lof, lof, cfg.contamination)
     return DetectionResult(scores=lof, flags=flags, threshold=threshold)
 
 
-def lof_fit(
-    train: Dataset, cfg: DetectorConfig, context: Context | None = None
-) -> LofModel:
+def lof_fit(train: Dataset, cfg: DetectorConfig) -> LofModel:
     """Compute reference LOF statistics on training rows for held-out scoring.
 
-    The stored threshold is the (1 - contamination) quantile of the training
-    LOF values.
+    Distances follow ``cfg.metric``, here and in :func:`lof_score`. The
+    stored threshold is the (1 - contamination) quantile of the training LOF
+    values.
     """
     if cfg.kind != "lof":
         raise DataError(f"config is for {cfg.kind!r}, not lof")
-    metric = _lof_metric(context)
-    kdist, lrd, lof = _lof_reference_stats(train.values, cfg.k_neighbors, metric)
+    kdist, lrd, lof = _lof_reference_stats(train.values, cfg.k_neighbors, cfg.metric)
     threshold = float(np.quantile(lof, 1.0 - cfg.contamination))
     return LofModel(
         reference=train.values,
@@ -624,7 +615,6 @@ def lof_fit(
         train_scores=lof,
         threshold=threshold,
         config=cfg,
-        metric=metric,
     )
 
 
@@ -636,7 +626,7 @@ def lof_score(model: LofModel, d: Dataset) -> DetectionResult:
         )
     scores = _lof_query_scores(
         d.values, model.reference, model.kdist, model.lrd,
-        model.config.k_neighbors, model.metric,
+        model.config.k_neighbors, model.config.metric,
     )
     flags = (scores > model.threshold).astype(np.int64)
     return DetectionResult(scores=scores, flags=flags, threshold=model.threshold)

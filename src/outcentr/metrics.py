@@ -19,17 +19,12 @@ class Confusion:
     tn: int
     fn: int
 
-    @property
-    def n(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True)
 class MetricSet:
     precision: float
     recall: float
     f1: float
-    support_outliers: int
 
 
 def confusion(flags, labels) -> Confusion:
@@ -55,12 +50,7 @@ def prf1(c: Confusion) -> MetricSet:
         if precision + recall > 0
         else 0.0
     )
-    return MetricSet(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        support_outliers=c.tp + c.fn,
-    )
+    return MetricSet(precision=precision, recall=recall, f1=f1)
 
 
 def _fractional_ranks(x: np.ndarray) -> np.ndarray:

@@ -5,6 +5,9 @@ rows and the inlier rows into two class centroids, score each attribute by
 the absolute gap between the centroids, rank attributes by that score, and
 project the data onto the top-t attributes. Attributes whose class means
 barely differ carry no outlier signal and are dropped.
+
+A rank round-trips through a CSV export (:func:`export_rank` and
+:func:`load_rank`), and :func:`rank_diff` compares two such exports.
 """
 
 from __future__ import annotations
@@ -316,3 +319,89 @@ def load_rank(path) -> AttributeRank:
     if t == 0 or not all(selected[:t]):
         raise DataError(f"{path}: selected flags are not a non-empty prefix of 1s")
     return AttributeRank(entries=tuple(entries), t=t)
+
+
+@dataclass(frozen=True)
+class RankDiffEntry:
+    """One attribute's position in two rank exports; None marks an absent side."""
+
+    attribute: str
+    rank_a: int | None
+    rank_b: int | None
+    score_a: float | None
+    score_b: float | None
+    rank_delta: int | None
+    selected_a: bool | None
+    selected_b: bool | None
+
+
+@dataclass(frozen=True)
+class RankDiff:
+    """Join of two attribute-rank exports, largest rank movements first."""
+
+    rank_a: AttributeRank
+    rank_b: AttributeRank
+    entries: tuple[RankDiffEntry, ...]
+
+
+def rank_diff(path_a, path_b) -> RankDiff:
+    """Diff two rank exports: per-attribute rank positions, scores, and deltas.
+
+    Entries are sorted by absolute rank movement, descending; attributes
+    present on only one side come last, marked absent on the other.
+    """
+    rank_a = load_rank(path_a)
+    rank_b = load_rank(path_b)
+
+    def positions(rank: AttributeRank):
+        return {
+            name: (pos, score, pos <= rank.t)
+            for pos, (name, score) in enumerate(rank.entries, start=1)
+        }
+
+    in_a = positions(rank_a)
+    in_b = positions(rank_b)
+    entries = []
+    for name in dict.fromkeys(list(in_a) + list(in_b)):
+        a = in_a.get(name)
+        b = in_b.get(name)
+        entries.append(
+            RankDiffEntry(
+                attribute=name,
+                rank_a=a[0] if a else None,
+                rank_b=b[0] if b else None,
+                score_a=a[1] if a else None,
+                score_b=b[1] if b else None,
+                rank_delta=(b[0] - a[0]) if a and b else None,
+                selected_a=a[2] if a else None,
+                selected_b=b[2] if b else None,
+            )
+        )
+    entries.sort(
+        key=lambda e: (e.rank_delta is None, -abs(e.rank_delta or 0), e.attribute)
+    )
+    return RankDiff(rank_a=rank_a, rank_b=rank_b, entries=tuple(entries))
+
+
+def write_rank_diff_csv(diff: RankDiff, path) -> None:
+    """Export a rank diff as CSV; absent sides are left empty."""
+    path = Path(path)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["attribute", "rank_a", "rank_b", "score_a", "score_b",
+             "rank_delta", "selected_a", "selected_b"]
+        )
+        for e in diff.entries:
+            writer.writerow(
+                [
+                    e.attribute,
+                    "" if e.rank_a is None else e.rank_a,
+                    "" if e.rank_b is None else e.rank_b,
+                    "" if e.score_a is None else repr(e.score_a),
+                    "" if e.score_b is None else repr(e.score_b),
+                    "" if e.rank_delta is None else e.rank_delta,
+                    "" if e.selected_a is None else int(e.selected_a),
+                    "" if e.selected_b is None else int(e.selected_b),
+                ]
+            )

@@ -3,18 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from outcentr.bench import (
-    ConfigError,
-    RunConfig,
-    emit_report,
-    load_run_config,
-    rank_diff,
-    run_experiment,
-    time_phase,
-    write_rank_diff_csv,
-)
+from outcentr.bench import ConfigError, RunConfig, emit_report, load_run_config, run_experiment
 from outcentr.cli import main
-from outcentr.ranking import attribute_rank, export_rank
+from outcentr.ranking import attribute_rank, export_rank, rank_diff, write_rank_diff_csv
 from outcentr.synth import SynthSpec
 
 
@@ -101,6 +92,41 @@ class TestConfigParsing:
         bad = SYNTH_CONFIG.replace("reducers = none, outcentr, pca, grp", "reducers = umap")
         with pytest.raises(ConfigError, match="unknown reducer"):
             load_run_config(write_config(tmp_path, text=bad))
+
+    def test_omitted_keys_take_the_dataclass_defaults(self, tmp_path):
+        text = (
+            "[data]\nsource = synth\nn = 240\nm = 20\ncontamination = 0.1\n\n"
+            "[run]\nreducers = none\ndetectors = lof\nseeds = 3\n"
+        )
+        cfg = load_run_config(write_config(tmp_path, text=text))
+        assert cfg == RunConfig(
+            source="synth",
+            dataset_name="synth-n240-m20-c0.1",
+            synth=SynthSpec(n=240, m=20, contamination=0.1),
+            reducers=("none",),
+            detectors=("lof",),
+            seeds=(3,),
+        )
+
+    @pytest.mark.parametrize(
+        "line",
+        ["source = synth", "n = 240", "m = 20", "contamination = 0.1",
+         "reducers = none, outcentr, pca, grp", "detectors = iforest, lof", "seeds = 0, 1"],
+    )
+    def test_missing_required_key_is_named(self, tmp_path, line):
+        key = line.split(" = ")[0]
+        bad = SYNTH_CONFIG.replace(line + "\n", "")
+        with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+            load_run_config(write_config(tmp_path, text=bad))
+
+    @pytest.mark.parametrize(
+        "key,raw", [("n_trees", "2.5"), ("k_neighbors", "ten"), ("seeds", "0, x")]
+    )
+    def test_unparsable_value_is_named(self, tmp_path, key, raw):
+        lines = [f"{key} = {raw}" if line.startswith(f"{key} =") else line
+                 for line in SYNTH_CONFIG.splitlines()]
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            load_run_config(write_config(tmp_path, text="\n".join(lines)))
 
     def test_csv_source_requires_label(self, tmp_path):
         text = "[data]\nsource = csv\ncsv = data.csv\n\n[run]\nreducers = none\ndetectors = iforest\nseeds = 0\n"
@@ -216,18 +242,6 @@ class TestEmitReport:
         assert not (tmp_path / "out" / "results.csv").exists()
 
 
-class TestTimePhase:
-    def test_noop_is_fast_and_positive(self):
-        elapsed = time_phase(lambda: None)
-        assert 0.0 < elapsed < 1e-3
-
-    def test_measures_real_work(self):
-        import time as time_mod
-
-        elapsed = time_phase(lambda: time_mod.sleep(0.02))
-        assert elapsed >= 0.02
-
-
 class TestRankDiff:
     def export(self, tmp_path, name, scores, names, t=2):
         path = tmp_path / name
@@ -335,6 +349,15 @@ class TestCli:
         spec = tmp_path / "spec.ini"
         spec.write_text("[synth]\nn = 60\n")
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "g")]) == 1
+
+    def test_missing_synth_size_is_exit_1_naming_the_key(self, tmp_path, capsys):
+        run_config = write_config(tmp_path, text=SYNTH_CONFIG.replace("n = 240\n", ""))
+        assert main(["run", "--config", str(run_config)]) == 1
+        assert "'n'" in capsys.readouterr().err
+        spec = tmp_path / "spec.ini"
+        spec.write_text("[synth]\nm = 8\ncontamination = 0.1\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "g")]) == 1
+        assert "'n'" in capsys.readouterr().err
 
     def test_rank_and_rank_diff_subcommands(self, tmp_path):
         spec = tmp_path / "spec.ini"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outcentr.data import (
-    Context,
     DataError,
     Dataset,
     apply_normalization,
@@ -66,6 +67,26 @@ class TestLoadCsv:
         path.write_text("a\n1\nnan\n")
         with pytest.raises(DataError, match="non-finite"):
             load_csv(path)
+
+    @pytest.mark.parametrize(
+        "cells,row",
+        [(("x", "", "y"), 2), (("", "x", "y"), 1), (("1", "2", ""), 3), (("x", "y", ""), 3)],
+    )
+    def test_empty_cell_rejected_wherever_it_sits(self, tmp_path, cells, row):
+        path = tmp_path / "gap.csv"
+        path.write_text("a,b\n" + "".join(f"{i},{cell}\n" for i, cell in enumerate(cells)))
+        with pytest.raises(DataError, match=f"missing value in column 'b', row {row}"):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "cells", [("1", "inf", "abc"), ("abc", "inf", "1"), ("nan", "abc", "2")]
+    )
+    def test_one_non_numeric_cell_makes_the_column_categorical(self, tmp_path, cells):
+        path = tmp_path / "mixed.csv"
+        path.write_text("a\n" + "".join(f"{cell}\n" for cell in cells))
+        d = load_csv(path)
+        assert d.values[:, 0].tolist() == [0.0, 1.0, 2.0]
+        assert d.categorical_levels == (("a", cells),)
 
     def test_custom_label_tokens(self, tmp_path):
         path = tmp_path / "tok.csv"
@@ -180,6 +201,23 @@ class TestSplit:
             assert sorted(map(tuple, merged)) == sorted(map(tuple, d.values))
             assert pair.train.n + pair.test.n == n
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_out=st.integers(2, 40),
+        n_in=st.integers(2, 200),
+        fraction=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_class_keeps_its_ratio_within_one_row(self, n_out, n_in, fraction, seed):
+        labels = np.r_[np.ones(n_out, dtype=int), np.zeros(n_in, dtype=int)]
+        d = make_dataset(np.arange(n_out + n_in)[:, None], labels=labels)
+        pair = split(d, fraction, seed=seed)
+        for cls, size in ((1, n_out), (0, n_in)):
+            in_train = int((pair.train.labels == cls).sum())
+            assert abs(in_train - fraction * size) <= 1
+            assert 1 <= in_train <= size - 1
+            assert in_train + int((pair.test.labels == cls).sum()) == size
+
     def test_each_class_in_both_parts(self):
         labels = np.r_[np.ones(2, dtype=int), np.zeros(8, dtype=int)]
         d = make_dataset(np.arange(10)[:, None], labels=labels)
@@ -216,8 +254,3 @@ class TestContainers:
         d = make_dataset([[1.0, 2.0]])
         with pytest.raises(ValueError):
             d.values[0, 0] = 9.0
-
-    def test_context_metric_check(self):
-        assert Context().dist == "euclidean"
-        with pytest.raises(DataError):
-            Context(dist="cosine")

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from outcentr import detectors
-from outcentr.data import DISTANCE_METRICS, Context, DataError, Dataset
+from outcentr.data import DataError, Dataset
 from outcentr.detectors import (
+    DISTANCE_METRICS,
     DetectorConfig,
     average_path_length,
     iforest_fit,
@@ -17,7 +18,6 @@ from outcentr.detectors import (
     lof_fit,
     lof_fit_predict,
     lof_score,
-    write_detection_csv,
 )
 
 from oracles import brute_force_lof, isolation_path_lengths, isolation_tree_path
@@ -52,10 +52,10 @@ def grid_rows(rng, n, m):
 def assert_lof_matches_oracle(x, query, k, metric, label="", **tol):
     """lof_fit_predict, and lof_fit + lof_score on held-out rows, agree with
     brute_force_lof within ``tol``."""
-    cfg, context = lof_cfg(k_neighbors=k), Context(dist=metric)
+    cfg = lof_cfg(k_neighbors=k, metric=metric)
     expected = brute_force_lof(x, k, metric)
-    assert np.allclose(lof_fit_predict(dataset(x), cfg, context).scores, expected, **tol), label
-    model = lof_fit(dataset(x), cfg, context)
+    assert np.allclose(lof_fit_predict(dataset(x), cfg).scores, expected, **tol), label
+    model = lof_fit(dataset(x), cfg)
     assert np.allclose(model.train_scores, expected, **tol), label
     held_out = lof_score(model, dataset(query)).scores
     assert np.allclose(held_out, brute_force_lof(x, k, metric, query=query), **tol), label
@@ -82,6 +82,22 @@ class TestDetectorConfig:
             DetectorConfig(kind="iforest", contamination=0.1, max_samples=max_samples)
         for good in ("auto", 2, np.int64(300)):
             assert DetectorConfig(kind="iforest", contamination=0.1, max_samples=good)
+
+    @pytest.mark.parametrize("field", ["n_trees", "k_neighbors"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 2.0, "3", None, True])
+    def test_counts_are_integers_of_at_least_one(self, field, value):
+        with pytest.raises(DataError, match=field):
+            DetectorConfig(kind="lof", contamination=0.1, **{field: value})
+        for good in (1, 7, np.int64(30)):
+            cfg = DetectorConfig(kind="lof", contamination=0.1, **{field: good})
+            assert getattr(cfg, field) == good
+
+    def test_metric_is_checked(self):
+        assert DetectorConfig(kind="lof", contamination=0.1).metric == "euclidean"
+        manhattan = DetectorConfig(kind="lof", contamination=0.1, metric="manhattan")
+        assert manhattan.metric == "manhattan"
+        with pytest.raises(DataError, match="distance metric"):
+            DetectorConfig(kind="lof", contamination=0.1, metric="cosine")
 
 
 class TestIsolationForest:
@@ -301,9 +317,7 @@ class TestLof:
         rng = np.random.default_rng(12)
         x = rng.integers(0, 3, size=(30, 2)).astype(float)  # many exact duplicates
         for metric in ("euclidean", "manhattan"):
-            result = lof_fit_predict(
-                dataset(x), lof_cfg(k_neighbors=4), context=Context(dist=metric)
-            )
+            result = lof_fit_predict(dataset(x), lof_cfg(k_neighbors=4, metric=metric))
             expected = brute_force_lof(x, 4, metric)
             assert np.allclose(result.scores, expected, rtol=1e-9, atol=0)
         # the same rows far from the origin, and held-out copies of them
@@ -357,11 +371,11 @@ def test_lof_follows_permutation_and_ignores_translation(data, metric):
     shift = data.draw(arrays(np.int64, m, elements=st.integers(-2**30, 2**30)), label="shift")
     shift = shift * 2.0**-20
     perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
-    cfg, context = lof_cfg(k_neighbors=k), Context(dist=metric)
-    scores = lof_fit_predict(dataset(x), cfg, context).scores
-    permuted = lof_fit_predict(dataset(x[perm]), cfg, context).scores
+    cfg = lof_cfg(k_neighbors=k, metric=metric)
+    scores = lof_fit_predict(dataset(x), cfg).scores
+    permuted = lof_fit_predict(dataset(x[perm]), cfg).scores
     assert np.allclose(permuted, scores[perm], rtol=1e-9, atol=0)
-    translated = lof_fit_predict(dataset(x + shift), cfg, context).scores
+    translated = lof_fit_predict(dataset(x + shift), cfg).scores
     assert np.allclose(translated, scores, rtol=1e-9, atol=0)
 
 
@@ -388,16 +402,3 @@ def test_iforest_scores_lie_in_unit_interval_and_repeat_per_seed(data):
         assert np.all((scores > 0.0) & (scores < 1.0))
     assert np.array_equal(model.train_scores, again.train_scores)
     assert np.array_equal(test_scores, iforest_score(again, dataset(test)).scores)
-
-
-def test_detection_export(tmp_path):
-    rng = np.random.default_rng(17)
-    d = dataset(rng.random((30, 2)))
-    result = iforest_score(iforest_fit(d, iforest_cfg(seed=0)), d, transductive=True)
-    path = tmp_path / "detections.csv"
-    write_detection_csv(result, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row_index,score,flag"
-    assert len(lines) == 31
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[2] in ("0", "1")

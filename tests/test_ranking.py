@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from outcentr.data import DataError, Dataset, normalize_minmax
 from outcentr.ranking import (
@@ -238,21 +241,28 @@ class TestFitReducer:
             assert dict(rank_a.entries) == dict(rank_b.entries)
             assert set(rank_a.selected) == set(rank_b.selected)
 
-    def test_affine_rescale_leaves_rank_order_unchanged(self):
-        rng = np.random.default_rng(14)
-        for _ in range(200):
-            n, m = int(rng.integers(6, 30)), int(rng.integers(2, 7))
-            raw = rng.integers(-40, 40, size=(n, m)).astype(float)
-            labels = np.zeros(n, dtype=int)
-            labels[: max(1, n // 4)] = 1
-            scale = rng.integers(1, 9, size=m).astype(float)
-            shift = rng.integers(-5, 6, size=m).astype(float)
-            base = Dataset(values=raw, attribute_names=tuple(f"a{j}" for j in range(m)), labels=labels)
-            moved = Dataset(values=raw * scale + shift, attribute_names=base.attribute_names, labels=labels)
-            rank_a = fit_reducer(normalize_minmax(base), t_fraction=0.5)
-            rank_b = fit_reducer(normalize_minmax(moved), t_fraction=0.5)
-            assert [n_ for n_, _ in rank_a.entries] == [n_ for n_, _ in rank_b.entries]
-            assert rank_a.selected == rank_b.selected
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_affine_rescale_leaves_rank_order_unchanged(self, data):
+        n = data.draw(st.integers(4, 30), label="n")
+        m = data.draw(st.integers(1, 8), label="m")
+        raw = data.draw(arrays(np.int64, (n, m), elements=st.integers(-50, 50)), label="raw")
+        outliers = data.draw(st.integers(1, (n - 1) // 2), label="outliers")
+        labels = (np.arange(n) < outliers).astype(int)
+        # positive dyadic scales and dyadic shifts keep every step of the
+        # min-max map exact, so both sides normalize to the same bits and
+        # tied scores break alike
+        scale = data.draw(arrays(np.int64, m, elements=st.integers(1, 64)), label="scale") / 8
+        shift = data.draw(arrays(np.int64, m, elements=st.integers(-1000, 1000)), label="shift") / 8
+        ratio = data.draw(st.sampled_from([1.0, 0.5]), label="label budget")
+
+        def rank_of(values):
+            d = normalize_minmax(dataset(values, labels=labels, normalized=False))
+            return fit_reducer(d, ratio=ratio, t_fraction=0.3, seed=7)
+
+        base, moved = rank_of(raw.astype(float)), rank_of(raw * scale + shift)
+        assert moved.entries == base.entries
+        assert moved.selected == base.selected
 
 
 class TestTransform:
