@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset
+from .data import DataError, Dataset, freeze_fields
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,7 @@ class PcaModel:
     explained_variance: np.ndarray
 
     def __post_init__(self):
-        for field in ("mean", "components", "explained_variance"):
-            arr = np.array(getattr(self, field), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, field, arr)
+        freeze_fields(self, "mean", "components", "explained_variance")
         k, m = self.components.shape
         if self.mean.shape != (m,) or self.explained_variance.shape != (k,):
             raise ValueError("inconsistent PCA model shapes")
@@ -50,9 +47,7 @@ class GrpModel:
     seed: int
 
     def __post_init__(self):
-        arr = np.array(self.projection, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "projection", arr)
+        freeze_fields(self, "projection")
 
     @property
     def k(self) -> int:

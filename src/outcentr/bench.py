@@ -32,8 +32,6 @@ from .data import (
     split,
 )
 from .detectors import (
-    DETECTOR_KINDS,
-    DISTANCE_METRICS,
     DetectorConfig,
     iforest_fit,
     iforest_score,
@@ -58,7 +56,11 @@ class RunError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one experiment needs; normally parsed from an INI file."""
+    """Everything one experiment needs; normally parsed from an INI file.
+
+    Construction builds every :class:`DetectorConfig` the run will use, so a
+    bad detector setting or seed is a config error before any data is loaded.
+    """
 
     source: str  # "csv" | "synth"
     dataset_name: str
@@ -97,9 +99,6 @@ class RunConfig:
         for r in self.reducers:
             if r not in REDUCERS:
                 raise ConfigError(f"unknown reducer {r!r} (choose from {REDUCERS})")
-        for det in self.detectors:
-            if det not in DETECTOR_KINDS:
-                raise ConfigError(f"unknown detector {det!r} (choose from {DETECTOR_KINDS})")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if not 0.0 < self.t_fraction <= 1.0:
@@ -108,8 +107,25 @@ class RunConfig:
             raise ConfigError(f"split must be in (0, 1), got {self.split_fraction}")
         if not 0.0 < self.label_budget <= 1.0:
             raise ConfigError(f"label_budget must be in (0, 1], got {self.label_budget}")
-        if self.metric not in DISTANCE_METRICS:
-            raise ConfigError(f"metric must be one of {DISTANCE_METRICS}")
+        try:
+            for kind in self.detectors:
+                for seed in self.seeds:
+                    # contamination comes from each split's labels; 0.5 is always valid
+                    self.detector_config(kind, 0.5, seed)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def detector_config(self, kind: str, contamination: float, seed: int) -> DetectorConfig:
+        """The settings of one (detector, seed) cell of this run."""
+        return DetectorConfig(
+            kind=kind,
+            contamination=contamination,
+            n_trees=self.n_trees,
+            max_samples=self.max_samples,
+            k_neighbors=self.k_neighbors,
+            seed=seed,
+            metric=self.metric,
+        )
 
 
 def _parse_list(raw: str) -> tuple[str, ...]:
@@ -370,15 +386,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
                 raise RunError(f"cell ({cell_id}, reducer={reducer}): {exc}") from exc
             for detector in cfg.detectors:
                 try:
-                    det_cfg = DetectorConfig(
-                        kind=detector,
-                        contamination=contamination,
-                        n_trees=cfg.n_trees,
-                        max_samples=cfg.max_samples,
-                        k_neighbors=cfg.k_neighbors,
-                        seed=seed,
-                        metric=cfg.metric,
-                    )
+                    det_cfg = cfg.detector_config(detector, contamination, seed)
                     result, fit_s, predict_s = _detect(
                         det_cfg, train_red, test_red, cfg.transductive
                     )

@@ -18,10 +18,21 @@ class DataError(ValueError):
     """Malformed input data or an inconsistent dataset operation."""
 
 
-def _frozen(a, dtype=np.float64) -> np.ndarray:
-    arr = np.array(a, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+def freeze_fields(obj, *names, dtype=np.float64) -> None:
+    """Replace each named field of a frozen dataclass with a read-only array copy.
+
+    The copy is cast to ``dtype``; ``dtype=None`` keeps each field's own dtype.
+    """
+    for name in names:
+        arr = np.array(getattr(obj, name), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
+def is_integer_of_at_least(value, low: int) -> bool:
+    """True for an int or numpy integer (bool excluded) that is >= low."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return integer and value >= low
 
 
 @dataclass(frozen=True)
@@ -45,7 +56,8 @@ class Dataset:
     categorical_levels: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     def __post_init__(self):
-        values = _frozen(self.values)
+        freeze_fields(self, "values")
+        values = self.values
         if values.ndim != 2:
             raise DataError(f"values must be 2-D, got shape {values.shape}")
         n, m = values.shape
@@ -61,15 +73,13 @@ class Dataset:
             j = int(np.flatnonzero(~finite.all(axis=0))[0])
             i = int(np.flatnonzero(~finite[:, j])[0])
             raise DataError(f"non-finite value {values[i, j]} in column {names[j]!r}, row {i + 1}")
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "attribute_names", names)
         if self.labels is not None:
-            labels = _frozen(self.labels, dtype=np.int64)
-            if labels.shape != (n,):
-                raise DataError(f"labels length {labels.shape} does not match n={n}")
-            if not np.isin(labels, (0, 1)).all():
+            freeze_fields(self, "labels", dtype=np.int64)
+            if self.labels.shape != (n,):
+                raise DataError(f"labels length {self.labels.shape} does not match n={n}")
+            if not np.isin(self.labels, (0, 1)).all():
                 raise DataError("labels must be 0 or 1")
-            object.__setattr__(self, "labels", labels)
         if self.normalization is not None:
             state = tuple((float(lo), float(hi)) for lo, hi in self.normalization)
             if len(state) != m:
@@ -151,7 +161,8 @@ def load_csv(
 ) -> Dataset:
     """Load a comma-separated file into a Dataset.
 
-    First row is the header. A column where every cell parses as a number
+    First row is the header; a leading UTF-8 byte-order mark, as Excel
+    writes, is dropped. A column where every cell parses as a number
     is kept numeric, and each of those numbers must be finite; any other
     column is ordinal-encoded by first appearance. Empty cells are rejected
     wherever they sit (no imputation). When ``label_column`` is given, that
@@ -161,7 +172,7 @@ def load_csv(
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -247,15 +258,14 @@ def normalize_minmax(d: Dataset) -> Dataset:
 
     Constant columns map to all-zeros. The per-column (min, max) pairs are
     recorded on the result so the same map can be replayed on held-out data.
+    This is :func:`apply_normalization` with the data's own state, whose
+    clip changes nothing on the rows that state came from.
     """
     if d.normalization is not None:
         raise DataError("dataset is already normalized")
-    lows = d.values.min(axis=0)
-    highs = d.values.max(axis=0)
-    span = highs - lows
-    scaled = np.where(span > 0, (d.values - lows) / np.where(span > 0, span, 1.0), 0.0)
-    state = tuple((float(lo), float(hi)) for lo, hi in zip(lows, highs))
-    return replace(d, values=scaled, normalization=state)
+    return apply_normalization(
+        d, tuple(zip(d.values.min(axis=0).tolist(), d.values.max(axis=0).tolist()))
+    )
 
 
 def apply_normalization(d: Dataset, state) -> Dataset:
@@ -270,7 +280,7 @@ def apply_normalization(d: Dataset, state) -> Dataset:
     lows = np.array([lo for lo, _ in state])
     span = np.array([hi - lo for lo, hi in state])
     scaled = np.where(span > 0, (d.values - lows) / np.where(span > 0, span, 1.0), 0.0)
-    scaled = np.clip(scaled, 0.0, 1.0)
+    np.clip(scaled, 0.0, 1.0, out=scaled)
     return replace(d, values=scaled, normalization=state)
 
 

@@ -1,10 +1,13 @@
 """Isolation forest and local outlier factor, with contamination thresholds.
 
 Both detectors emit continuous anomaly scores (higher = more anomalous) and
-binary flags cut at a quantile threshold. Scores are a pure function of
-(data, config, seed). The isolation forest scores any dataset against a
-fitted ensemble; LOF is transductive by nature but can also score unseen
-rows against a fitted reference set for train/test workflows.
+the threshold they are cut at: the (1 - contamination) quantile of a
+reference set of scores. :class:`DetectionResult` derives the binary flags
+from those two itself (score > threshold); no caller passes flags in.
+Scores are a pure function of (data, config, seed). The isolation forest
+scores any dataset against a fitted ensemble; LOF is transductive by nature
+but can also score unseen rows against a fitted reference set for
+train/test workflows.
 
 The isolation forest is packed: every tree lives in one set of flat node
 arrays. All trees grow together, level by level, with each level's
@@ -27,12 +30,12 @@ Neighbor lists are stored flat (CSR) and reduced with ``np.bincount``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import DataError, Dataset
+from .data import DataError, Dataset, freeze_fields, is_integer_of_at_least
 
 DETECTOR_KINDS = ("iforest", "lof")
 DISTANCE_METRICS = ("euclidean", "manhattan")
@@ -62,8 +65,8 @@ class DetectorConfig:
     quantile used as the flagging threshold. ``n_trees``/``max_samples``
     apply to the isolation forest ("auto" resolves to min(256, n));
     ``k_neighbors`` and the distance ``metric`` (one of DISTANCE_METRICS)
-    apply to LOF. Counts must be integers (numpy integers included, bool
-    not).
+    apply to LOF. Counts and the seed must be integers (numpy integers
+    included, bool not).
     """
 
     kind: str
@@ -76,53 +79,47 @@ class DetectorConfig:
 
     def __post_init__(self):
         if self.kind not in DETECTOR_KINDS:
-            raise DataError(f"unknown detector kind {self.kind!r}")
+            raise DataError(f"unknown detector kind {self.kind!r} (choose from {DETECTOR_KINDS})")
         if not 0.0 < self.contamination <= 0.5:
             raise DataError(f"contamination must be in (0, 0.5], got {self.contamination}")
-        if not _is_integer_of_at_least(self.n_trees, 1):
+        if not is_integer_of_at_least(self.n_trees, 1):
             raise DataError(f"n_trees must be an integer >= 1, got {self.n_trees!r}")
-        if self.max_samples != "auto" and not _is_integer_of_at_least(self.max_samples, 2):
+        if self.max_samples != "auto" and not is_integer_of_at_least(self.max_samples, 2):
             raise DataError(
                 f"max_samples must be 'auto' or an integer >= 2, got {self.max_samples!r}"
             )
-        if not _is_integer_of_at_least(self.k_neighbors, 1):
+        if not is_integer_of_at_least(self.k_neighbors, 1):
             raise DataError(f"k_neighbors must be an integer >= 1, got {self.k_neighbors!r}")
+        if not is_integer_of_at_least(self.seed, 0):
+            raise DataError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.metric not in DISTANCE_METRICS:
-            raise DataError(f"unknown distance metric {self.metric!r}")
-
-
-def _is_integer_of_at_least(value, low: int) -> bool:
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    return integer and value >= low
+            raise DataError(
+                f"unknown distance metric {self.metric!r} (choose from {DISTANCE_METRICS})"
+            )
 
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Per-record anomaly scores, binary flags, and the realized threshold.
+    """Per-record anomaly scores, the realized threshold, and the flags they give.
 
-    flags[i] == 1 exactly when scores[i] > threshold, so the number of flags
-    is round(contamination * n) up to ties sitting on the threshold.
+    Flags are derived, not passed in: flags[i] == 1 exactly when
+    scores[i] > threshold, so the number of flags is
+    round(contamination * n) up to ties sitting on the threshold.
     """
 
     scores: np.ndarray
-    flags: np.ndarray
     threshold: float
+    flags: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        scores = np.array(self.scores, dtype=np.float64)
-        flags = np.array(self.flags, dtype=np.int64)
-        scores.setflags(write=False)
-        flags.setflags(write=False)
-        if scores.shape != flags.shape:
-            raise ValueError("scores and flags have different lengths")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "flags", flags)
+        freeze_fields(self, "scores")
+        object.__setattr__(self, "flags", self.scores > self.threshold)
+        freeze_fields(self, "flags", dtype=np.int64)
 
 
-def _threshold_and_flags(scores: np.ndarray, reference_scores: np.ndarray, contamination: float):
-    threshold = float(np.quantile(reference_scores, 1.0 - contamination))
-    flags = (scores > threshold).astype(np.int64)
-    return threshold, flags
+def _quantile_threshold(reference: np.ndarray, contamination: float) -> float:
+    """The (1 - contamination) quantile of the reference scores: the flagging threshold."""
+    return float(np.quantile(reference, 1.0 - contamination))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +165,7 @@ class _PackedForest:
     subsample_size: int
 
     def __post_init__(self):
-        for name in ("feature", "cut", "left", "right", "leaf_value", "roots"):
-            arr = np.array(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_fields(self, "feature", "cut", "left", "right", "leaf_value", "roots", dtype=None)
 
     def path_lengths(self, x: np.ndarray) -> np.ndarray:
         """Mean path length E[h(row)] over the trees, for every row of x.
@@ -215,9 +209,7 @@ class IsolationForestModel(_PackedForest):
 
     def __post_init__(self):
         super().__post_init__()
-        scores = np.array(self.train_scores, dtype=np.float64)
-        scores.setflags(write=False)
-        object.__setattr__(self, "train_scores", scores)
+        freeze_fields(self, "train_scores")
 
 
 def _segment_ranges(values: np.ndarray, counts: np.ndarray):
@@ -367,7 +359,7 @@ def iforest_fit(train: Dataset, cfg: DetectorConfig) -> IsolationForestModel:
         m=train.m,
         config=cfg,
         train_scores=train_scores,
-        threshold=float(np.quantile(train_scores, 1.0 - cfg.contamination)),
+        threshold=_quantile_threshold(train_scores, cfg.contamination),
     )
 
 
@@ -384,11 +376,10 @@ def iforest_score(
         raise DataError(f"dataset has m={d.m}, forest was fit on m={forest.m}")
     scores = forest.score_samples(d.values)
     if transductive:
-        threshold, flags = _threshold_and_flags(scores, scores, forest.config.contamination)
+        threshold = _quantile_threshold(scores, forest.config.contamination)
     else:
         threshold = forest.threshold
-        flags = (scores > threshold).astype(np.int64)
-    return DetectionResult(scores=scores, flags=flags, threshold=threshold)
+    return DetectionResult(scores=scores, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -577,24 +568,18 @@ class LofModel:
     config: DetectorConfig
 
     def __post_init__(self):
-        for field in ("reference", "kdist", "lrd", "train_scores"):
-            arr = np.array(getattr(self, field), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, field, arr)
+        freeze_fields(self, "reference", "kdist", "lrd", "train_scores")
 
 
 def lof_fit_predict(d: Dataset, cfg: DetectorConfig) -> DetectionResult:
     """Transductive LOF: score and flag the rows of one dataset.
 
-    Distances follow ``cfg.metric``. Scores are LOF values (about 1 for
-    inliers, well above 1 for outliers); the threshold is the
-    (1 - contamination) quantile of those same scores.
+    The rows are their own reference set: the result holds the train scores
+    and threshold of :func:`lof_fit` on ``d``. Scores are LOF values (about
+    1 for inliers, well above 1 for outliers).
     """
-    if cfg.kind != "lof":
-        raise DataError(f"config is for {cfg.kind!r}, not lof")
-    _, _, lof = _lof_reference_stats(d.values, cfg.k_neighbors, cfg.metric)
-    threshold, flags = _threshold_and_flags(lof, lof, cfg.contamination)
-    return DetectionResult(scores=lof, flags=flags, threshold=threshold)
+    model = lof_fit(d, cfg)
+    return DetectionResult(scores=model.train_scores, threshold=model.threshold)
 
 
 def lof_fit(train: Dataset, cfg: DetectorConfig) -> LofModel:
@@ -607,13 +592,12 @@ def lof_fit(train: Dataset, cfg: DetectorConfig) -> LofModel:
     if cfg.kind != "lof":
         raise DataError(f"config is for {cfg.kind!r}, not lof")
     kdist, lrd, lof = _lof_reference_stats(train.values, cfg.k_neighbors, cfg.metric)
-    threshold = float(np.quantile(lof, 1.0 - cfg.contamination))
     return LofModel(
         reference=train.values,
         kdist=kdist,
         lrd=lrd,
         train_scores=lof,
-        threshold=threshold,
+        threshold=_quantile_threshold(lof, cfg.contamination),
         config=cfg,
     )
 
@@ -628,5 +612,4 @@ def lof_score(model: LofModel, d: Dataset) -> DetectionResult:
         d.values, model.reference, model.kdist, model.lrd,
         model.config.k_neighbors, model.config.metric,
     )
-    flags = (scores > model.threshold).astype(np.int64)
-    return DetectionResult(scores=scores, flags=flags, threshold=model.threshold)
+    return DetectionResult(scores=scores, threshold=model.threshold)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset
+from .data import DataError, Dataset, freeze_fields
 
 CLASS_TAGS = ("outlier", "inlier", "all")
 
@@ -38,15 +38,13 @@ class Centroid:
     class_tag: str
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        values.setflags(write=False)
-        if values.ndim != 1:
+        freeze_fields(self, "values")
+        if self.values.ndim != 1:
             raise ValueError("centroid must be a vector")
         if self.source_count < 1:
             raise ValueError("source_count must be >= 1")
         if self.class_tag not in CLASS_TAGS:
             raise ValueError(f"unknown class tag {self.class_tag!r}")
-        object.__setattr__(self, "values", values)
 
     @property
     def m(self) -> int:
@@ -100,13 +98,11 @@ class AttributeScoreReport:
     absolute: bool = False
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        values.setflags(write=False)
-        if values.ndim != 1 or len(self.attribute_names) != values.shape[0]:
+        freeze_fields(self, "values")
+        if self.values.ndim != 1 or len(self.attribute_names) != self.values.shape[0]:
             raise ValueError("score vector and attribute names disagree")
-        if not np.isfinite(values).all():
+        if not np.isfinite(self.values).all():
             raise ValueError("attribute scores must be finite")
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -117,14 +113,9 @@ class LabelPartition:
     inlier_rows: np.ndarray
 
     def __post_init__(self):
-        out = np.array(self.outlier_rows, dtype=np.int64)
-        inl = np.array(self.inlier_rows, dtype=np.int64)
-        out.setflags(write=False)
-        inl.setflags(write=False)
-        if np.intersect1d(out, inl).size:
+        freeze_fields(self, "outlier_rows", "inlier_rows", dtype=np.int64)
+        if np.intersect1d(self.outlier_rows, self.inlier_rows).size:
             raise ValueError("outlier and inlier rows overlap")
-        object.__setattr__(self, "outlier_rows", out)
-        object.__setattr__(self, "inlier_rows", inl)
 
 
 def partition_labels(d: Dataset) -> LabelPartition:

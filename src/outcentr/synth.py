@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, write_csv
+from .data import DataError, Dataset, is_integer_of_at_least, write_csv
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,8 @@ class SynthSpec:
     """Size, dimensionality, contamination, and separability of one dataset.
 
     ``n_informative`` defaults to max(2, m // 10), matching the 10% selection
-    default so perfect recovery is attainable.
+    default so perfect recovery is attainable. Sizes and the seed must be
+    integers (numpy integers included, bool not).
     """
 
     n: int
@@ -34,18 +35,24 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2 or self.m < 1:
-            raise DataError(f"invalid grid size n={self.n}, m={self.m}")
+        if not (is_integer_of_at_least(self.n, 2) and is_integer_of_at_least(self.m, 1)):
+            raise DataError(f"invalid grid size n={self.n!r}, m={self.m!r}")
         if not 0.0 < self.contamination < 1.0:
             raise DataError(f"contamination must be in (0, 1), got {self.contamination}")
         if self.contamination * self.n < 1.0:
             raise DataError(
                 f"contamination {self.contamination} yields no outliers at n={self.n}"
             )
-        if self.n_informative is not None and not 1 <= self.n_informative <= self.m:
-            raise DataError(f"n_informative must be in [1, {self.m}]")
+        if self.n_informative is not None and not (
+            is_integer_of_at_least(self.n_informative, 1) and self.n_informative <= self.m
+        ):
+            raise DataError(
+                f"n_informative must be an integer in [1, {self.m}], got {self.n_informative!r}"
+            )
         if self.separation < 0.0:
             raise DataError("separation must be non-negative")
+        if not is_integer_of_at_least(self.seed, 0):
+            raise DataError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @property
     def informative_count(self) -> int:

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from outcentr import bench
 from outcentr.bench import ConfigError, RunConfig, emit_report, load_run_config, run_experiment
 from outcentr.cli import main
 from outcentr.ranking import attribute_rank, export_rank, rank_diff, write_rank_diff_csv
@@ -336,6 +337,39 @@ class TestCli:
             text.format(missing=tmp_path / "missing.csv", out=tmp_path / "res")
         )
         assert main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "old,new,named",
+        [
+            ("n_trees = 30", "n_trees = 0", "n_trees"),
+            ("n_trees = 30", "n_trees = 30\nmax_samples = 1", "max_samples"),
+            ("k_neighbors = 10", "k_neighbors = 0", "k_neighbors"),
+            ("seeds = 0, 1", "seeds = 0, -1", "seed"),
+            ("split = 0.8", "split = 0.8\nmetric = cosine", "metric"),
+            ("detectors = iforest, lof", "detectors = iforest, svm", "detector kind"),
+        ],
+    )
+    def test_bad_detector_setting_is_exit_1_before_any_work(
+        self, tmp_path, capsys, monkeypatch, old, new, named
+    ):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was loaded")
+
+        monkeypatch.setattr(bench, "generate", no_data)
+        out_dir = tmp_path / "results"
+        config = write_config(tmp_path, text=SYNTH_CONFIG.replace(old, new), out=out_dir)
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not out_dir.exists()
+
+    def test_negative_seed_flag_is_exit_1(self, tmp_path, capsys):
+        out_dir, models = tmp_path / "results", tmp_path / "models"
+        config = write_config(tmp_path, out=out_dir)
+        argv = ["run", "--config", str(config), "--seed", "-1", "--save-model", str(models)]
+        assert main(argv) == 1
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out_dir.exists() and not models.exists()
 
     def test_synth_subcommand(self, tmp_path):
         spec = tmp_path / "spec.ini"

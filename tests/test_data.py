@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outcentr.baselines import grp_model, pca_fit
 from outcentr.data import (
     DataError,
     Dataset,
@@ -13,6 +16,8 @@ from outcentr.data import (
     split,
     write_csv,
 )
+from outcentr.detectors import DetectorConfig, iforest_fit, iforest_score, lof_fit
+from outcentr.ranking import attribute_scores, compute_centroid, partition_labels
 
 
 def make_dataset(values, labels=None, names=None):
@@ -87,6 +92,20 @@ class TestLoadCsv:
         d = load_csv(path)
         assert d.values[:, 0].tolist() == [0.0, 1.0, 2.0]
         assert d.categorical_levels == (("a", cells),)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # Excel writes UTF-8 CSV files with a BOM ahead of the first header cell
+        text = "label,a,b\n0,1.5,x\n1,2.5,y\n0,3.5,x\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        a = load_csv(plain, label_column="label")
+        b = load_csv(marked, label_column="label")
+        assert a.attribute_names == b.attribute_names == ("a", "b")
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.labels, b.labels)
+        assert (a.normalization, a.categorical_levels) == (b.normalization, b.categorical_levels)
 
     def test_custom_label_tokens(self, tmp_path):
         path = tmp_path / "tok.csv"
@@ -234,6 +253,36 @@ class TestSplit:
             split(d, 0.8, seed=0)
 
 
+def _labeled():
+    rng = np.random.default_rng(0)
+    return normalize_minmax(make_dataset(rng.random((12, 3)), labels=np.array([1, 1] + [0] * 10)))
+
+
+def _centroid():
+    d = _labeled()
+    return compute_centroid(d, partition_labels(d).outlier_rows, "outlier")
+
+
+def _forest():
+    return iforest_fit(_labeled(), DetectorConfig(kind="iforest", contamination=0.2, n_trees=3))
+
+
+# every container that holds arrays, built from a small labeled dataset
+CONTAINERS = {
+    "Dataset": _labeled,
+    "DetectionResult": lambda: iforest_score(_forest(), _labeled()),
+    "IsolationForestModel": _forest,
+    "LofModel": lambda: lof_fit(
+        _labeled(), DetectorConfig(kind="lof", contamination=0.2, k_neighbors=3)
+    ),
+    "PcaModel": lambda: pca_fit(_labeled(), 2),
+    "GrpModel": lambda: grp_model(3, 2, seed=0),
+    "Centroid": _centroid,
+    "AttributeScoreReport": lambda: attribute_scores(_labeled(), range(12), _centroid()),
+    "LabelPartition": lambda: partition_labels(_labeled()),
+}
+
+
 class TestContainers:
     def test_dataset_validations(self):
         with pytest.raises(DataError):
@@ -250,7 +299,16 @@ class TestContainers:
         with pytest.raises(DataError, match=rf"non-finite value {bad} in column 'b', row 3"):
             Dataset(values=values, attribute_names=("a", "b", "c"))
 
-    def test_values_are_read_only(self):
-        d = make_dataset([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            d.values[0, 0] = 9.0
+    @pytest.mark.parametrize("container", sorted(CONTAINERS))
+    def test_values_are_read_only(self, container):
+        obj = CONTAINERS[container]()
+        arrays = {
+            f.name: getattr(obj, f.name)
+            for f in dataclasses.fields(obj)
+            if isinstance(getattr(obj, f.name), np.ndarray)
+        }
+        assert arrays
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1

@@ -11,6 +11,7 @@ from outcentr import detectors
 from outcentr.data import DataError, Dataset
 from outcentr.detectors import (
     DISTANCE_METRICS,
+    DetectionResult,
     DetectorConfig,
     average_path_length,
     iforest_fit,
@@ -92,12 +93,36 @@ class TestDetectorConfig:
             cfg = DetectorConfig(kind="lof", contamination=0.1, **{field: good})
             assert getattr(cfg, field) == good
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None, True])
+    def test_seed_is_a_non_negative_integer(self, seed):
+        with pytest.raises(DataError, match="seed"):
+            DetectorConfig(kind="iforest", contamination=0.1, seed=seed)
+        for good in (0, 7, np.int64(2**40)):
+            assert DetectorConfig(kind="iforest", contamination=0.1, seed=good).seed == good
+
+    def test_unknown_choices_are_listed(self):
+        with pytest.raises(DataError, match=r"choose from \('iforest', 'lof'\)"):
+            DetectorConfig(kind="svm", contamination=0.1)
+        with pytest.raises(DataError, match=r"choose from \('euclidean', 'manhattan'\)"):
+            DetectorConfig(kind="lof", contamination=0.1, metric="cosine")
+
     def test_metric_is_checked(self):
         assert DetectorConfig(kind="lof", contamination=0.1).metric == "euclidean"
         manhattan = DetectorConfig(kind="lof", contamination=0.1, metric="manhattan")
         assert manhattan.metric == "manhattan"
         with pytest.raises(DataError, match="distance metric"):
             DetectorConfig(kind="lof", contamination=0.1, metric="cosine")
+
+
+class TestDetectionResult:
+    def test_flags_are_derived_from_the_scores(self):
+        result = DetectionResult(scores=[0.2, 0.9, 0.5, 0.7], threshold=0.5)
+        assert result.flags.tolist() == [0, 1, 0, 1]
+        assert result.flags.dtype == np.int64 and result.scores.dtype == np.float64
+
+    def test_flags_cannot_be_passed_in(self):
+        with pytest.raises(TypeError):
+            DetectionResult(scores=[0.2, 0.9], flags=[1, 1], threshold=0.5)
 
 
 class TestIsolationForest:
@@ -402,3 +427,32 @@ def test_iforest_scores_lie_in_unit_interval_and_repeat_per_seed(data):
         assert np.all((scores > 0.0) & (scores < 1.0))
     assert np.array_equal(model.train_scores, again.train_scores)
     assert np.array_equal(test_scores, iforest_score(again, dataset(test)).scores)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), contamination=st.floats(0.01, 0.5))
+def test_flags_are_scores_above_the_quantile_of_the_reference(data, contamination):
+    n = data.draw(st.integers(7, 30), label="n")
+    m = data.draw(st.integers(1, 3), label="m")
+    # a small half-step grid gives tied scores, some sitting on the threshold
+    x = data.draw(arrays(np.int64, (n, m), elements=st.integers(-3, 3)), label="x") * 0.5
+    query = data.draw(arrays(np.int64, (5, m), elements=st.integers(-4, 4)), label="q") * 0.5
+    train, test = dataset(x), dataset(query)
+
+    def quantile(reference):
+        return float(np.quantile(reference, 1.0 - contamination))
+
+    forest = iforest_fit(train, iforest_cfg(contamination=contamination, n_trees=5))
+    lof = lof_fit(train, lof_cfg(contamination=contamination, k_neighbors=3))
+    transductive = lof_fit_predict(train, lof_cfg(contamination=contamination, k_neighbors=3))
+    assert np.array_equal(transductive.scores, lof.train_scores)
+    assert transductive.scores.tobytes() == lof.train_scores.tobytes()
+    for result, reference in (
+        (iforest_score(forest, test), forest.train_scores),
+        (iforest_score(forest, test, transductive=True), None),
+        (lof_score(lof, test), lof.train_scores),
+        (transductive, None),
+    ):
+        reference = result.scores if reference is None else reference
+        assert result.threshold == quantile(reference)
+        assert np.array_equal(result.flags, result.scores > result.threshold)

@@ -25,6 +25,20 @@ class TestSynthSpec:
         with pytest.raises(DataError):
             SynthSpec(n=100, m=5, contamination=0.1, n_informative=6)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", 200.5), ("n", 200.0), ("n", True), ("m", 20.0), ("m", True),
+         ("n_informative", 2.0), ("n_informative", True), ("seed", -1), ("seed", 1.5),
+         ("seed", True)],
+    )
+    def test_sizes_and_seed_are_integers(self, field, value):
+        spec = dict(n=200, m=20, contamination=0.1)
+        with pytest.raises(DataError, match=rf"\b{field}\b"):
+            SynthSpec(**{**spec, field: value})
+        good = SynthSpec(n=np.int64(200), m=np.int64(20), contamination=0.1,
+                         n_informative=np.int64(2), seed=np.int64(0))
+        assert generate(good)[0].n == 200
+
 
 class TestGenerate:
     def test_same_seed_bit_identical(self):
