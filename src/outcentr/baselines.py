@@ -142,7 +142,9 @@ def load_model(path) -> PcaModel | GrpModel:
     number that does not parse, raises :class:`DataError` naming the file.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
     if not lines:
         raise DataError(f"{path} is empty")
     head = lines[0].split()

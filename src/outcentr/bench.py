@@ -192,7 +192,7 @@ def _read_ini(path, keys) -> dict:
         raise ConfigError(f"no such config file: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read(path, encoding="utf-8-sig")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     for section in parser.sections():

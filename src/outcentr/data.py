@@ -186,8 +186,6 @@ def load_csv(
                     f"line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             rows.append([cell.strip() for cell in row])
-    if not rows:
-        raise DataError("empty dataset")
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
 
@@ -202,8 +200,6 @@ def load_csv(
         )
         header = header[:j] + header[j + 1 :]
         rows = [row[:j] + row[j + 1 :] for row in rows]
-    if not header:
-        raise DataError("empty dataset")
 
     n, m = len(rows), len(header)
     values = np.empty((n, m), dtype=np.float64)
@@ -213,16 +209,10 @@ def load_csv(
         if "" in column:
             raise DataError(f"missing value in column {name!r}, row {column.index('') + 1}")
         try:
-            numeric = np.fromiter(map(float, column), dtype=np.float64, count=n)
+            values[:, j] = np.fromiter(map(float, column), dtype=np.float64, count=n)
         except ValueError:
             values[:, j], levels = encode_categoricals(column)
             encodings.append((name, levels))
-            continue
-        finite = np.isfinite(numeric)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise DataError(f"non-finite value in column {name!r}, row {i + 1}")
-        values[:, j] = numeric
 
     return Dataset(
         values=values,

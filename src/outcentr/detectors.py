@@ -23,8 +23,10 @@ LOF neighborhoods are exact, distance ties included, under the metric the
 detector config names. Euclidean candidates come from one matrix product
 per row block (the norm expansion ||q||^2 + ||r||^2 - 2 q.r), and only the
 candidates near each row's k-distance have their distances recomputed from
-explicit differences.
-Neighbor lists are stored flat (CSR) and reduced with ``np.bincount``.
+explicit differences. Manhattan distances are summed one column at a time
+inside the same row block. Neighbor lists are stored flat (CSR) and reduced
+with ``np.bincount``. A fitted :class:`LofModel` holds its training
+:class:`~outcentr.data.Dataset` as the reference set, not a copy of its rows.
 """
 
 from __future__ import annotations
@@ -43,11 +45,9 @@ DISTANCE_METRICS = ("euclidean", "manhattan")
 _EULER_GAMMA = 0.5772156649015329
 # duplicate rows give zero reachability distances; floor before inverting
 _MIN_DISTANCE = 1e-12
-# cells one row block holds at once (~2 MB of float64): LOF's selection
-# values, the gathered columns of isolation-tree growth
+# cells one row block holds at once (~2 MB of float64): LOF's selection values
+# and Manhattan differences, the gathered columns of isolation-tree growth
 _BLOCK_CELLS = 1 << 18
-# Manhattan difference-buffer tile, allocated once per row block (~8 MB)
-_TILE_CELLS = 1 << 20
 # gathered cells per tile of the exact Euclidean recheck (~512 KB)
 _PAIR_TILE_CELLS = 1 << 16
 # (row, tree) pairs an isolation-forest scoring block walks at once (~512 KB
@@ -390,24 +390,15 @@ def iforest_score(
 def _distance_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact Manhattan distances between two row sets.
 
-    Manhattan distance has no matrix-product form, so every pairwise
-    difference is taken explicitly. Work is tiled (row blocks by feature
-    slices) so the difference buffer stays cache-sized.
+    Manhattan distance has no matrix-product form, so |a[:, j] - b[:, j]| is
+    added into the block one column at a time, through one reused difference
+    buffer of the block's size. The caller's row block bounds both.
     """
-    n_a, n_b, m = a.shape[0], b.shape[0], a.shape[1]
-    step = min(32, m)
-    rows_per = max(1, _TILE_CELLS // max(n_b * step, 1))
-    out = np.zeros((n_a, n_b))
-    buf = np.empty((min(rows_per, n_a), n_b, step))
-    for r0 in range(0, n_a, rows_per):
-        r1 = min(r0 + rows_per, n_a)
-        acc = out[r0:r1]
-        for f0 in range(0, m, step):
-            f1 = min(f0 + step, m)
-            diff = buf[: r1 - r0, :, : f1 - f0]
-            np.subtract(a[r0:r1, None, f0:f1], b[None, :, f0:f1], out=diff)
-            np.abs(diff, out=diff)
-            acc += diff.sum(axis=2)
+    out = np.zeros((a.shape[0], b.shape[0]))
+    diff = np.empty_like(out)
+    for j in range(a.shape[1]):
+        np.subtract(a[:, j, None], b[:, j], out=diff)
+        out += np.abs(diff, out=diff)
     return out
 
 
@@ -528,39 +519,11 @@ def _local_reachability_density(nb: _Neighborhoods, kdist_ref: np.ndarray) -> np
     return 1.0 / np.maximum(nb.row_mean(reach), _MIN_DISTANCE)
 
 
-def _lof_reference_stats(x: np.ndarray, k: int, metric: str):
-    """k-distances, local reachability densities, and LOF values of a point set.
-
-    Exact k-nearest-neighbor search by full pairwise distance; LOF(p) is the
-    mean density of p's neighbors over p's own density.
-    """
-    n = x.shape[0]
-    if n <= k:
-        raise DataError(f"LOF needs more rows than neighbors: n={n}, k={k}")
-    nb = _neighborhoods(x, x, k, metric, exclude_self=True)
-    lrd = _local_reachability_density(nb, nb.kdist)
-    lof = nb.row_mean(lrd[nb.indices]) / lrd
-    return nb.kdist, lrd, lof
-
-
-def _lof_query_scores(
-    query: np.ndarray,
-    reference: np.ndarray,
-    kdist_ref: np.ndarray,
-    lrd_ref: np.ndarray,
-    k: int,
-    metric: str,
-) -> np.ndarray:
-    """LOF of new points with respect to a fitted reference set."""
-    nb = _neighborhoods(query, reference, k, metric, exclude_self=False)
-    return nb.row_mean(lrd_ref[nb.indices]) / _local_reachability_density(nb, kdist_ref)
-
-
 @dataclass(frozen=True)
 class LofModel:
-    """Reference-set LOF statistics for scoring unseen rows."""
+    """LOF statistics of the training Dataset (``reference``, not a copy) for unseen rows."""
 
-    reference: np.ndarray
+    reference: Dataset
     kdist: np.ndarray
     lrd: np.ndarray
     train_scores: np.ndarray
@@ -568,7 +531,7 @@ class LofModel:
     config: DetectorConfig
 
     def __post_init__(self):
-        freeze_fields(self, "reference", "kdist", "lrd", "train_scores")
+        freeze_fields(self, "kdist", "lrd", "train_scores")
 
 
 def lof_fit_predict(d: Dataset, cfg: DetectorConfig) -> DetectionResult:
@@ -585,16 +548,22 @@ def lof_fit_predict(d: Dataset, cfg: DetectorConfig) -> DetectionResult:
 def lof_fit(train: Dataset, cfg: DetectorConfig) -> LofModel:
     """Compute reference LOF statistics on training rows for held-out scoring.
 
-    Distances follow ``cfg.metric``, here and in :func:`lof_score`. The
-    stored threshold is the (1 - contamination) quantile of the training LOF
-    values.
+    A row's LOF is the mean density of its neighbors (the other training
+    rows) over its own. Distances follow ``cfg.metric``, here and in
+    :func:`lof_score`. The stored threshold is the (1 - contamination)
+    quantile of the training LOF values.
     """
     if cfg.kind != "lof":
         raise DataError(f"config is for {cfg.kind!r}, not lof")
-    kdist, lrd, lof = _lof_reference_stats(train.values, cfg.k_neighbors, cfg.metric)
+    k = cfg.k_neighbors
+    if train.n <= k:
+        raise DataError(f"LOF needs more rows than neighbors: n={train.n}, k={k}")
+    nb = _neighborhoods(train.values, train.values, k, cfg.metric, exclude_self=True)
+    lrd = _local_reachability_density(nb, nb.kdist)
+    lof = nb.row_mean(lrd[nb.indices]) / lrd
     return LofModel(
-        reference=train.values,
-        kdist=kdist,
+        reference=train,
+        kdist=nb.kdist,
         lrd=lrd,
         train_scores=lof,
         threshold=_quantile_threshold(lof, cfg.contamination),
@@ -604,12 +573,9 @@ def lof_fit(train: Dataset, cfg: DetectorConfig) -> LofModel:
 
 def lof_score(model: LofModel, d: Dataset) -> DetectionResult:
     """Score unseen rows against a fitted LOF reference, train-quantile threshold."""
-    if d.m != model.reference.shape[1]:
-        raise DataError(
-            f"dataset has m={d.m}, reference was fit on m={model.reference.shape[1]}"
-        )
-    scores = _lof_query_scores(
-        d.values, model.reference, model.kdist, model.lrd,
-        model.config.k_neighbors, model.config.metric,
-    )
+    ref, cfg = model.reference, model.config
+    if d.m != ref.m:
+        raise DataError(f"dataset has m={d.m}, reference was fit on m={ref.m}")
+    nb = _neighborhoods(d.values, ref.values, cfg.k_neighbors, cfg.metric, exclude_self=False)
+    scores = nb.row_mean(model.lrd[nb.indices]) / _local_reachability_density(nb, model.kdist)
     return DetectionResult(scores=scores, threshold=model.threshold)

@@ -284,7 +284,7 @@ def load_rank(path) -> AttributeRank:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["rank", "attribute", "distinguishability_score", "selected"]:

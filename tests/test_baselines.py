@@ -180,6 +180,11 @@ def test_model_save_load_roundtrip(tmp_path):
     assert grp_back.seed == 9
 
 
+def test_load_model_of_a_missing_file(tmp_path):
+    with pytest.raises(DataError, match="no such file"):
+        load_model(tmp_path / "nope.txt")
+
+
 def test_load_model_checks_the_header(tmp_path):
     rng = np.random.default_rng(16)
     pca_path, grp_path = tmp_path / "pca.txt", tmp_path / "grp.txt"

@@ -3,10 +3,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from outcentr import bench
-from outcentr.bench import ConfigError, RunConfig, emit_report, load_run_config, run_experiment
+from outcentr import bench, cli
+from outcentr.baselines import grp_model, load_model, pca_fit, save_model
+from outcentr.bench import (
+    ConfigError,
+    RunConfig,
+    emit_report,
+    load_run_config,
+    load_synth_spec,
+    run_experiment,
+)
 from outcentr.cli import main
-from outcentr.ranking import attribute_rank, export_rank, rank_diff, write_rank_diff_csv
+from outcentr.data import Dataset
+from outcentr.ranking import attribute_rank, export_rank, load_rank, rank_diff, write_rank_diff_csv
 from outcentr.synth import SynthSpec
 
 
@@ -40,6 +49,32 @@ def write_config(tmp_path, text=None, **fmt):
     fmt.setdefault("out", str(tmp_path / "results"))
     path.write_text((text or SYNTH_CONFIG).format(**fmt))
     return path
+
+
+def with_byte_order_mark(path):
+    """A copy of a UTF-8 file with a byte-order mark in front, as Notepad and Excel save it."""
+    marked = path.with_name("bom-" + path.name)
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return marked
+
+
+def test_every_reader_drops_a_byte_order_mark(tmp_path):
+    spec = tmp_path / "spec.ini"
+    spec.write_text("[synth]\nn = 60\nm = 8\ncontamination = 0.1\nseed = 4\n")
+    rank = tmp_path / "rank.csv"
+    export_rank(attribute_rank([0.4, 0.9, 0.4], ("a1", "a2", "a3"), t=2), rank)
+    for load, path in ((load_run_config, write_config(tmp_path)), (load_synth_spec, spec),
+                       (load_rank, rank)):
+        assert load(with_byte_order_mark(path)) == load(path), path.name
+    rows = np.random.default_rng(3).normal(size=(30, 4))
+    pca = pca_fit(Dataset(rows, ("a1", "a2", "a3", "a4")), k=2)
+    for name, model in (("pca.txt", pca), ("grp.txt", grp_model(m=4, k=2, seed=9))):
+        path = tmp_path / name
+        save_model(model, path)
+        plain, marked = load_model(path), load_model(with_byte_order_mark(path))
+        assert type(plain) is type(marked), name
+        for field, value in vars(plain).items():
+            assert np.array_equal(getattr(marked, field), value), (name, field)
 
 
 def synth_run_config(tmp_path, **overrides):
@@ -370,6 +405,33 @@ class TestCli:
         assert main(argv) == 1
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not out_dir.exists() and not models.exists()
+
+    def test_run_config_with_a_byte_order_mark(self, tmp_path):
+        out_dir = tmp_path / "results"
+        small = SYNTH_CONFIG.replace("seeds = 0, 1", "seeds = 0").replace(
+            "reducers = none, outcentr, pca, grp", "reducers = outcentr"
+        ).replace("detectors = iforest, lof", "detectors = lof")
+        config = with_byte_order_mark(write_config(tmp_path, text=small, out=out_dir))
+        assert main(["run", "--config", str(config)]) == 0
+        assert (out_dir / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--t-fraction", "0"), ("--t-fraction", "1.5"), ("--label-budget", "0"), ("--seed", "-1")],
+    )
+    def test_rank_bad_flag_is_exit_1_before_the_data_is_read(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was loaded")
+
+        monkeypatch.setattr(cli, "load_csv", no_data)
+        out = tmp_path / "rank.csv"
+        argv = ["rank", "--data", str(tmp_path / "data.csv"), "--label", "label", "--out", str(out)]
+        assert main(argv + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag} must be") and value in err
+        assert not out.exists()
 
     def test_synth_subcommand(self, tmp_path):
         spec = tmp_path / "spec.ini"

@@ -350,6 +350,23 @@ class TestLof:
         for metric, shift in itertools.product(DISTANCE_METRICS, (0.0, 1e3)):
             assert_lof_matches_oracle(x + shift, query + shift, 4, metric, rtol=1e-9, atol=0)
 
+    def test_block_sizes_change_no_result(self, monkeypatch):
+        rows = grid_rows(np.random.default_rng(23), 160, 3)
+        train, query = dataset(rows[:120]), dataset(rows[120:])
+
+        def fit_and_score(metric):
+            model = lof_fit(train, lof_cfg(k_neighbors=6, metric=metric))
+            held_out = lof_score(model, query).scores
+            return {"train_scores": model.train_scores, "kdist": model.kdist,
+                    "lrd": model.lrd, "held_out": held_out}
+
+        expected = {metric: fit_and_score(metric) for metric in DISTANCE_METRICS}
+        monkeypatch.setattr(detectors, "_BLOCK_CELLS", 7)
+        monkeypatch.setattr(detectors, "_PAIR_TILE_CELLS", 3)
+        for metric in DISTANCE_METRICS:
+            for name, values in fit_and_score(metric).items():
+                assert np.array_equal(values, expected[metric][name]), (metric, name)
+
     def test_requires_more_rows_than_neighbors(self):
         d = dataset(np.random.default_rng(13).random((5, 2)))
         with pytest.raises(DataError, match="more rows than neighbors"):
@@ -359,6 +376,7 @@ class TestLof:
         rng = np.random.default_rng(14)
         train = dataset(rng.normal(size=(80, 3)))
         model = lof_fit(train, lof_cfg(contamination=0.1, k_neighbors=10))
+        assert model.reference is train  # held, not copied
         inliers = dataset(rng.normal(size=(20, 3)))
         outliers = dataset(rng.normal(loc=8.0, size=(5, 3)))
         res_in = lof_score(model, inliers)
