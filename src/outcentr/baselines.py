@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, freeze_fields
+from .data import DataError, Dataset, existing_file, freeze_fields
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,7 @@ def load_model(path) -> PcaModel | GrpModel:
     A file whose vectors disagree with its header's k and m, or that holds a
     number that does not parse, raises :class:`DataError` naming the file.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
+    path = existing_file(path)
     lines = path.read_text(encoding="utf-8-sig").splitlines()
     if not lines:
         raise DataError(f"{path} is empty")

@@ -27,6 +27,7 @@ from .data import (
     DataError,
     Dataset,
     apply_normalization,
+    existing_file,
     load_csv,
     normalize_minmax,
     split,
@@ -187,9 +188,7 @@ def _read_ini(path, keys) -> dict:
     running defaults, and so is a value its parser rejects. Keys the file
     leaves out are left out of the result.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"no such config file: {path}")
+    path = existing_file(path, "config file", ConfigError)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read(path, encoding="utf-8-sig")

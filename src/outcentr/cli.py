@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import ConfigError, emit_report, load_run_config, load_synth_spec, run_experiment
-from .data import is_integer_of_at_least, load_csv, normalize_minmax
+from .data import existing_file, is_integer_of_at_least, load_csv, normalize_minmax
 from .ranking import (
     attribute_scores,
     compute_centroid,
@@ -114,6 +114,7 @@ def _cmd_rank(args) -> int:
             raise ConfigError(f"{flag} must be in (0, 1], got {value}")
     if not is_integer_of_at_least(args.seed, 0):
         raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
+    existing_file(args.data, "data file", ConfigError)
     data = load_csv(
         args.data,
         label_column=args.label,

@@ -29,6 +29,14 @@ def freeze_fields(obj, *names, dtype=np.float64) -> None:
         object.__setattr__(obj, name, arr)
 
 
+def existing_file(path, what: str = "file", error: type[Exception] = DataError) -> Path:
+    """``path`` as a Path, or ``error`` if it names no file; a directory is not a file."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"not a file: {path}" if path.exists() else f"no such {what}: {path}")
+    return path
+
+
 def is_integer_of_at_least(value, low: int) -> bool:
     """True for an int or numpy integer (bool excluded) that is >= low."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -169,9 +177,7 @@ def load_csv(
     column is removed from the attributes and stored as binary labels; its
     values must match the positive/negative tokens or the literals 1/0.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
+    path = existing_file(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:

@@ -20,12 +20,18 @@ a row block one level per step, so memory is bounded by the block, not by
 rows x trees.
 
 LOF neighborhoods are exact, distance ties included, under the metric the
-detector config names. Euclidean candidates come from one matrix product
-per row block (the norm expansion ||q||^2 + ||r||^2 - 2 q.r), and only the
-candidates near each row's k-distance have their distances recomputed from
-explicit differences. Manhattan distances are summed one column at a time
-inside the same row block. Neighbor lists are stored flat (CSR) and reduced
-with ``np.bincount``. A fitted :class:`LofModel` holds its training
+detector config names. LOF runs on the distinct training rows, each a point
+weighted by its number of copies: a row repeated w times counts w times in
+every k-distance, neighborhood and mean, so the results are those of the
+expanded rows (Breunig et al. 2000) while the work grows with the number of
+distinct rows. Without duplicates every weight is 1, and every sum runs over
+the same terms in the same order as it would unweighted. Euclidean
+candidates come from one matrix product per row block (the norm expansion
+||q||^2 + ||r||^2 - 2 q.r), and only the candidates near each row's
+k-distance have their distances recomputed from explicit differences.
+Manhattan distances are summed one column at a time inside the same row
+block. Neighbor lists are stored flat (CSR) and reduced with
+``np.bincount``. A fitted :class:`LofModel` holds its training
 :class:`~outcentr.data.Dataset` as the reference set, not a copy of its rows.
 """
 
@@ -416,12 +422,46 @@ def _pair_distances(query: np.ndarray, ref: np.ndarray, rows: np.ndarray, cols: 
     return np.sqrt(out, out=out)
 
 
-def _row_kth(rows: np.ndarray, values: np.ndarray, n_rows: int, k: int) -> np.ndarray:
-    """k-th smallest of each row's entries; ``rows`` ascending, k or more entries a row.
+def _distinct_rows(x: np.ndarray):
+    """Group the identical rows of x, in order of first appearance.
 
-    The entries are laid into a table padded with +inf to the widest row of
-    this call, which is at most the width of the block they came from.
+    Returns the index of each distinct row's first copy (ascending), the
+    number of copies of each distinct row, and the distinct row of every row
+    of x. Rows are merged only when they are equal in every byte. A key per
+    row, the sum of the row times one fixed vector, is the same for identical
+    rows, since every row is reduced the same way; only rows whose key
+    repeats are compared byte by byte, so data without duplicates costs one
+    pass and a sort of n keys.
     """
+    n, m = x.shape
+    key = (x * np.random.default_rng(0).uniform(1.0, 2.0, m)).sum(axis=1)
+    _, key_group, key_count = np.unique(key, return_inverse=True, return_counts=True)
+    suspects = np.flatnonzero(key_count[key_group.ravel()] > 1)
+    label = np.arange(n)  # the first copy of each row
+    if suspects.size:
+        row_bytes = np.ascontiguousarray(x[suspects]).view(np.dtype((np.void, x.itemsize * m)))
+        _, first, group = np.unique(row_bytes.ravel(), return_index=True, return_inverse=True)
+        label[suspects] = suspects[first[group.ravel()]]
+    is_first = label == np.arange(n)
+    inverse = (np.cumsum(is_first) - 1)[label]
+    return np.flatnonzero(is_first), np.bincount(inverse), inverse
+
+
+def _take_rows(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """x[index] for an ascending row index; x itself, not a copy, when it takes every row."""
+    return x if index.size == x.shape[0] else x[index]
+
+
+def _row_kth(rows: np.ndarray, values: np.ndarray, copies: np.ndarray, n_rows: int, k: int):
+    """k-th smallest of each row's entries, entry i counted ``copies[i]`` times.
+
+    ``rows`` is ascending, and each row's copies add up to k or more. Each
+    entry is laid ``copies[i]`` times into a table padded with +inf to the
+    widest row of this call; with every count 1 that is one cell per entry,
+    at most the width of the block the entries came from. A caller clips
+    the counts at k, which bounds the table and changes no k-th value.
+    """
+    rows, values = np.repeat(rows, copies), np.repeat(values, copies)
     counts = np.bincount(rows, minlength=n_rows)
     table = np.full((n_rows, counts.max()), np.inf)
     table[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = values
@@ -432,45 +472,64 @@ class _Neighborhoods(NamedTuple):
     """Neighbor lists of every query row in CSR form.
 
     Row i owns the ``counts[i]`` consecutive entries of ``indices`` (reference
-    rows, ascending) and ``distances``; ``kdist[i]`` is its k-distance.
+    rows, ascending), ``distances`` and ``weights`` (the copies of the
+    reference row that the entry stands for); ``kdist[i]`` is its k-distance.
     """
 
     kdist: np.ndarray
     indices: np.ndarray
     distances: np.ndarray
+    weights: np.ndarray
     counts: np.ndarray
 
     def row_mean(self, values: np.ndarray) -> np.ndarray:
-        """Mean of ``values`` (one per entry) over each row's entries."""
+        """Weighted mean of ``values`` (one per entry) over each row's entries.
+
+        With every weight 1 the products are exact and both sums run over
+        the same terms in the same order as an unweighted mean.
+        """
         rows = np.repeat(np.arange(self.counts.size), self.counts)
-        return np.bincount(rows, weights=values, minlength=self.counts.size) / self.counts
+        total = np.bincount(rows, weights=self.weights * values, minlength=self.counts.size)
+        return total / np.bincount(rows, weights=self.weights, minlength=self.counts.size)
 
 
-def _neighborhoods(query: np.ndarray, ref: np.ndarray, k: int, metric: str, exclude_self: bool):
+def _neighborhoods(
+    query: np.ndarray, ref: np.ndarray, copies: np.ndarray, k: int, metric: str, exclude_self: bool
+):
     """k-distances and CSR neighbor lists for every query row.
 
-    The neighborhood of a row is every reference point within its k-distance
-    (distance ties included), never the row itself. Rows are taken in blocks
-    of about _BLOCK_CELLS selection values, in two steps:
+    Reference row j stands for ``copies[j]`` identical points. The
+    k-distance of a row is the smallest distance within which those points
+    number k or more, and its neighborhood is every reference row within it
+    (distance ties included), weighted by its copies. With ``exclude_self``
+    query row i is reference row i, one of whose copies is the row itself:
+    that entry weighs one copy less. A lone copy weighs 0, which no sum or
+    mean counts, and is set to +inf so that it is no candidate unless every
+    reference row is one. Rows are taken in blocks of about _BLOCK_CELLS
+    selection values, in two steps:
 
     1. Candidates. For Euclidean distance a block's selection values are
        ||r||^2 - 2 q.r from one matrix product; the query norm is constant
-       along a row and is left out. The k-th smallest value comes from
-       ``np.partition``, and every reference point within a rounding margin
-       of it is a candidate. The margin, 4 (m + 2) eps (||q||^2 + max ||r||^2),
-       covers the expansion's rounding error on a value and on the k-th
-       value plus the error of the exact distances, so every point that the
-       exact distances put within the k-distance is a candidate, however far
-       the data sit from the origin. Manhattan distance has no such
-       expansion: its selection values are the exact distances from
-       _distance_block, and there is no margin.
+       along a row and is left out. The min(k, n_ref)-th smallest value
+       comes from ``np.partition``, and every reference point within a
+       rounding margin of it is a candidate. Every entry but a lone copy of
+       the row itself (+inf) weighs at least 1, so that value bounds the
+       k-distance. The margin, 4 (m + 2) eps (||q||^2 + max ||r||^2), covers
+       the expansion's rounding error on a value and on the cut value plus
+       the error of the exact distances, so every point that the exact
+       distances put within the k-distance is a candidate, however far the
+       data sit from the origin. Manhattan distance has no such expansion:
+       its selection values are the exact distances from _distance_block,
+       and there is no margin.
     2. Exact recheck. Candidate distances are recomputed from explicit
        differences (Euclidean only), so square roots are taken of candidates,
        never of a whole block. The k-distance is the k-th smallest of them,
-       and every candidate within it is kept.
+       each counted min(weight, k) times (_row_kth), and every candidate
+       within it is kept.
     """
     n_q, n_ref, m = query.shape[0], ref.shape[0], query.shape[1]
     block = max(1, _BLOCK_CELLS // n_ref)
+    kth = min(k, n_ref) - 1
     euclidean = metric == "euclidean"
     if euclidean:
         # [q, 1] @ [-2 ref.T; ||r||^2] does the norm add inside the product
@@ -483,7 +542,7 @@ def _neighborhoods(query: np.ndarray, ref: np.ndarray, k: int, metric: str, excl
     else:
         margin = np.zeros(n_q)
     kdist = np.empty(n_q)
-    indices, distances, counts = [], [], []
+    indices, distances, weights, counts = [], [], [], []
     for start in range(0, n_q, block):
         stop = min(start + block, n_q)
         if euclidean:
@@ -491,25 +550,30 @@ def _neighborhoods(query: np.ndarray, ref: np.ndarray, k: int, metric: str, excl
         else:
             values = _distance_block(query[start:stop], ref)
         if exclude_self:
-            values[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        cut = np.partition(values, k - 1, axis=1)[:, k - 1] + margin[start:stop]
+            alone = np.flatnonzero(copies[start:stop] == 1)
+            values[alone, alone + start] = np.inf
+        cut = np.partition(values, kth, axis=1)[:, kth] + margin[start:stop]
         rows, cols = np.divmod(np.flatnonzero(values <= cut[:, None]), n_ref)
+        weight = copies[cols]
+        if exclude_self:
+            weight = weight - (cols == rows + start)
         if euclidean:
             dist = _pair_distances(query[start:stop], ref, rows, cols)
         else:
             dist = values[rows, cols]
-        kd = kdist[start:stop] = _row_kth(rows, dist, stop - start, k)
+        kd = kdist[start:stop] = _row_kth(rows, dist, np.minimum(weight, k), stop - start, k)
         keep = dist <= kd[rows]
         indices.append(cols[keep])
         distances.append(dist[keep])
+        weights.append(weight[keep])
         counts.append(np.bincount(rows[keep], minlength=stop - start))
     return _Neighborhoods(
-        kdist, np.concatenate(indices), np.concatenate(distances), np.concatenate(counts)
+        kdist, *(np.concatenate(a) for a in (indices, distances, weights, counts))
     )
 
 
 def _local_reachability_density(nb: _Neighborhoods, kdist_ref: np.ndarray) -> np.ndarray:
-    """1 / mean reachability distance over each row's neighbors.
+    """1 / weighted mean reachability distance over each row's neighbors.
 
     reach(p, o) = max(kdist(o), d(p, o)); the mean is floored so duplicate
     rows (all-zero distances) yield a large finite density instead of a
@@ -521,9 +585,16 @@ def _local_reachability_density(nb: _Neighborhoods, kdist_ref: np.ndarray) -> np
 
 @dataclass(frozen=True)
 class LofModel:
-    """LOF statistics of the training Dataset (``reference``, not a copy) for unseen rows."""
+    """LOF statistics of the training Dataset (``reference``, not a copy) for unseen rows.
+
+    ``kdist``, ``lrd`` and ``train_scores`` hold one value per training row.
+    ``distinct`` indexes the first copy of each distinct training row and
+    ``copies`` counts its copies: the weighted points that scoring uses.
+    """
 
     reference: Dataset
+    distinct: np.ndarray
+    copies: np.ndarray
     kdist: np.ndarray
     lrd: np.ndarray
     train_scores: np.ndarray
@@ -531,6 +602,7 @@ class LofModel:
     config: DetectorConfig
 
     def __post_init__(self):
+        freeze_fields(self, "distinct", "copies", dtype=np.int64)
         freeze_fields(self, "kdist", "lrd", "train_scores")
 
 
@@ -549,22 +621,28 @@ def lof_fit(train: Dataset, cfg: DetectorConfig) -> LofModel:
     """Compute reference LOF statistics on training rows for held-out scoring.
 
     A row's LOF is the mean density of its neighbors (the other training
-    rows) over its own. Distances follow ``cfg.metric``, here and in
+    rows) over its own. It is computed once per distinct row, with each
+    distinct row weighted by its copies (_distinct_rows), and every copy
+    gets that value. Distances follow ``cfg.metric``, here and in
     :func:`lof_score`. The stored threshold is the (1 - contamination)
-    quantile of the training LOF values.
+    quantile of the training LOF values, one per training row.
     """
     if cfg.kind != "lof":
         raise DataError(f"config is for {cfg.kind!r}, not lof")
     k = cfg.k_neighbors
     if train.n <= k:
         raise DataError(f"LOF needs more rows than neighbors: n={train.n}, k={k}")
-    nb = _neighborhoods(train.values, train.values, k, cfg.metric, exclude_self=True)
+    distinct, copies, inverse = _distinct_rows(train.values)
+    ref = _take_rows(train.values, distinct)
+    nb = _neighborhoods(ref, ref, copies, k, cfg.metric, exclude_self=True)
     lrd = _local_reachability_density(nb, nb.kdist)
-    lof = nb.row_mean(lrd[nb.indices]) / lrd
+    lof = (nb.row_mean(lrd[nb.indices]) / lrd)[inverse]
     return LofModel(
         reference=train,
-        kdist=nb.kdist,
-        lrd=lrd,
+        distinct=distinct,
+        copies=copies,
+        kdist=nb.kdist[inverse],
+        lrd=lrd[inverse],
         train_scores=lof,
         threshold=_quantile_threshold(lof, cfg.contamination),
         config=cfg,
@@ -572,10 +650,18 @@ def lof_fit(train: Dataset, cfg: DetectorConfig) -> LofModel:
 
 
 def lof_score(model: LofModel, d: Dataset) -> DetectionResult:
-    """Score unseen rows against a fitted LOF reference, train-quantile threshold."""
+    """Score unseen rows against a fitted LOF reference, train-quantile threshold.
+
+    Each query row is scored on its own against the distinct training rows,
+    weighted by their copies; no training point is the query itself.
+    """
     ref, cfg = model.reference, model.config
     if d.m != ref.m:
         raise DataError(f"dataset has m={d.m}, reference was fit on m={ref.m}")
-    nb = _neighborhoods(d.values, ref.values, cfg.k_neighbors, cfg.metric, exclude_self=False)
-    scores = nb.row_mean(model.lrd[nb.indices]) / _local_reachability_density(nb, model.kdist)
-    return DetectionResult(scores=scores, threshold=model.threshold)
+    nb = _neighborhoods(
+        d.values, _take_rows(ref.values, model.distinct), model.copies,
+        cfg.k_neighbors, cfg.metric, exclude_self=False,
+    )
+    lrd = model.lrd[model.distinct]
+    own_lrd = _local_reachability_density(nb, model.kdist[model.distinct])
+    return DetectionResult(scores=nb.row_mean(lrd[nb.indices]) / own_lrd, threshold=model.threshold)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, freeze_fields
+from .data import DataError, Dataset, existing_file, freeze_fields
 
 CLASS_TAGS = ("outlier", "inlier", "all")
 
@@ -281,9 +281,7 @@ def load_rank(path) -> AttributeRank:
 
     Every ``distinguishability_score`` must parse as a finite number.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
+    path = existing_file(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

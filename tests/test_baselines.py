@@ -185,6 +185,11 @@ def test_load_model_of_a_missing_file(tmp_path):
         load_model(tmp_path / "nope.txt")
 
 
+def test_load_model_of_a_directory(tmp_path):
+    with pytest.raises(DataError, match="not a file"):
+        load_model(tmp_path)
+
+
 def test_load_model_checks_the_header(tmp_path):
     rng = np.random.default_rng(16)
     pca_path, grp_path = tmp_path / "pca.txt", tmp_path / "grp.txt"

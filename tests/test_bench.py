@@ -107,6 +107,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="no such config"):
             load_run_config(tmp_path / "nope.ini")
 
+    @pytest.mark.parametrize("load", [load_run_config, load_synth_spec])
+    def test_directory_is_not_a_file(self, tmp_path, load):
+        with pytest.raises(ConfigError, match="not a file"):
+            load(tmp_path)
+
     def test_unknown_key_rejected(self, tmp_path):
         bad = SYNTH_CONFIG + "\n[run]\n"  # duplicate section is a parse error
         with pytest.raises(ConfigError):
@@ -431,6 +436,19 @@ class TestCli:
         assert main(argv + [flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {flag} must be") and value in err
+        assert not out.exists()
+
+    def test_rank_data_directory_is_exit_1_before_the_data_is_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was loaded")
+
+        monkeypatch.setattr(cli, "load_csv", no_data)
+        out = tmp_path / "rank.csv"
+        argv = ["rank", "--data", str(tmp_path), "--label", "label", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: not a file: {tmp_path}\n"
         assert not out.exists()
 
     def test_synth_subcommand(self, tmp_path):

@@ -55,6 +55,10 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no such file"):
             load_csv(tmp_path / "nope.csv")
 
+    def test_directory_is_not_a_file(self, tmp_path):
+        with pytest.raises(DataError, match="not a file"):
+            load_csv(tmp_path)
+
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b\n1,2\n3\n")

@@ -62,6 +62,21 @@ def assert_lof_matches_oracle(x, query, k, metric, label="", **tol):
     assert np.allclose(held_out, brute_force_lof(x, k, metric, query=query), **tol), label
 
 
+def assert_weighted_lof_matches_oracle(x, query, k):
+    """On both metrics LOF agrees with brute_force_lof on the expanded rows to
+    1e-9 relative, and every copy of a row, trained or queried, gets the same
+    score to the bit."""
+    for metric in DISTANCE_METRICS:
+        assert_lof_matches_oracle(x, query, k, metric, metric, rtol=1e-9, atol=0)
+        model = lof_fit(dataset(x), lof_cfg(k_neighbors=k, metric=metric))
+        held_out = lof_score(model, dataset(query)).scores
+        for rows, scores in ((x, model.train_scores), (query, held_out)):
+            _, group = np.unique(rows, axis=0, return_inverse=True)
+            group = group.ravel()
+            first = np.unique(group, return_index=True)[1]
+            assert np.array_equal(scores, scores[first][group]), metric
+
+
 class TestDetectorConfig:
     def test_validation(self):
         with pytest.raises(DataError):
@@ -351,21 +366,40 @@ class TestLof:
             assert_lof_matches_oracle(x + shift, query + shift, 4, metric, rtol=1e-9, atol=0)
 
     def test_block_sizes_change_no_result(self, monkeypatch):
-        rows = grid_rows(np.random.default_rng(23), 160, 3)
-        train, query = dataset(rows[:120]), dataset(rows[120:])
+        cases = {
+            "grid": (grid_rows(np.random.default_rng(23), 160, 3), 6),
+            # binary rows: at most 16 distinct, fewer than k
+            "binary": (np.random.default_rng(24).integers(0, 2, size=(400, 4)) * 1.0, 20),
+        }
 
-        def fit_and_score(metric):
-            model = lof_fit(train, lof_cfg(k_neighbors=6, metric=metric))
-            held_out = lof_score(model, query).scores
+        def fit_and_score(case, metric):
+            rows, k = cases[case]
+            cut = len(rows) * 3 // 4
+            model = lof_fit(dataset(rows[:cut]), lof_cfg(k_neighbors=k, metric=metric))
+            held_out = lof_score(model, dataset(rows[cut:])).scores
             return {"train_scores": model.train_scores, "kdist": model.kdist,
                     "lrd": model.lrd, "held_out": held_out}
 
-        expected = {metric: fit_and_score(metric) for metric in DISTANCE_METRICS}
+        runs = list(itertools.product(cases, DISTANCE_METRICS))
+        expected = {run: fit_and_score(*run) for run in runs}
         monkeypatch.setattr(detectors, "_BLOCK_CELLS", 7)
         monkeypatch.setattr(detectors, "_PAIR_TILE_CELLS", 3)
-        for metric in DISTANCE_METRICS:
-            for name, values in fit_and_score(metric).items():
-                assert np.array_equal(values, expected[metric][name]), (metric, name)
+        for run in runs:
+            for name, values in fit_and_score(*run).items():
+                assert np.array_equal(values, expected[run][name]), (run, name)
+
+    @pytest.mark.parametrize("copies,k", [
+        ((7, 1, 2, 1), 3),  # a tie group larger than k
+        ((4, 2, 1, 1), 3),  # exactly k + 1 copies
+        ((3, 3, 1), 3),  # exactly k copies
+        ((9, 8), 5),  # fewer distinct rows than k
+        ((12,), 3),  # a single distinct row
+    ])
+    def test_weighted_duplicates_match_the_expanded_rows(self, copies, k):
+        rng = np.random.default_rng(25)
+        base = grid_rows(rng, len(copies), 2) + np.arange(len(copies))[:, None]
+        x = np.repeat(base, copies, axis=0)[rng.permutation(sum(copies))]
+        assert_weighted_lof_matches_oracle(x, np.vstack([base, base[:1] + 0.25]), k)
 
     def test_requires_more_rows_than_neighbors(self):
         d = dataset(np.random.default_rng(13).random((5, 2)))
@@ -474,3 +508,48 @@ def test_flags_are_scores_above_the_quantile_of_the_reference(data, contaminatio
         reference = result.scores if reference is None else reference
         assert result.threshold == quantile(reference)
         assert np.array_equal(result.flags, result.scores > result.threshold)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lof_on_duplicate_rows_matches_the_expanded_rows(data):
+    k = data.draw(st.integers(1, 6), label="k")
+    m = data.draw(st.integers(1, 3), label="m")
+    n_distinct = data.draw(st.integers(1, 6), label="n_distinct")
+    base = data.draw(arrays(np.int64, (n_distinct, m), elements=st.integers(-3, 3)), label="base")
+    # copy counts around k: tie groups larger than k, of exactly k + 1 and k
+    count = st.one_of(st.integers(1, 3), st.just(k), st.just(k + 1), st.integers(k + 2, 2 * k + 2))
+    copies = data.draw(st.lists(count, min_size=n_distinct, max_size=n_distinct), label="copies")
+    copies[0] += max(0, k + 1 - sum(copies))
+    perm = np.array(data.draw(st.permutations(range(sum(copies))), label="perm"))
+    x = np.repeat(base * 0.5, copies, axis=0)[perm]
+    query = data.draw(arrays(np.int64, (4, m), elements=st.integers(-4, 4)), label="query") * 0.5
+    assert_weighted_lof_matches_oracle(x, np.vstack([query, x[:2]]), k)
+
+
+class TestDistinctRows:
+    def test_inverse_rebuilds_the_rows_in_first_appearance_order(self):
+        rng = np.random.default_rng(26)
+        x = rng.integers(0, 3, size=(60, 2)) * 0.5
+        first, copies, inverse = detectors._distinct_rows(x)
+        assert np.array_equal(x[first][inverse], x)
+        assert np.all(np.diff(first) > 0)
+        assert np.array_equal(inverse[first], np.arange(first.size))
+        assert np.array_equal(copies, np.bincount(inverse))
+        assert np.unique(x[first], axis=0).shape[0] == first.size
+
+    def test_rows_one_bit_apart_stay_apart(self):
+        a = np.array([0.3, 2.0, 5.0])
+        b = a.copy()
+        b[1] = np.nextafter(2.0, 3.0)
+        first, copies, inverse = detectors._distinct_rows(np.array([a, b, a, b, a]))
+        assert first.tolist() == [0, 1]
+        assert copies.tolist() == [3, 2]
+        assert inverse.tolist() == [0, 1, 0, 1, 0]
+
+    def test_rows_without_duplicates_give_the_identity(self):
+        x = np.random.default_rng(27).random((50, 3))
+        first, copies, inverse = detectors._distinct_rows(x)
+        assert np.array_equal(first, np.arange(50))
+        assert np.array_equal(copies, np.ones(50))
+        assert np.array_equal(inverse, np.arange(50))

@@ -307,6 +307,11 @@ def test_export_and_load_roundtrip(tmp_path):
     assert loaded == rank
 
 
+def test_load_rank_of_a_directory(tmp_path):
+    with pytest.raises(DataError, match="not a file"):
+        load_rank(tmp_path)
+
+
 def test_load_rank_rejects_other_csv(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("x,y\n1,2\n")
