@@ -150,6 +150,10 @@ def _write_attribute_scores(data, path, absolute: bool) -> None:
 
 
 def _cmd_rank_diff(args) -> int:
+    if not is_integer_of_at_least(args.top, 0):
+        raise ConfigError(f"--top must be an integer >= 0, got {args.top}")
+    for path in (args.rank_a, args.rank_b):
+        existing_file(path, "rank file", ConfigError)
     diff = rank_diff(args.rank_a, args.rank_b)
     print(f"{'attribute':<24} {'rank_a':>6} {'rank_b':>6} {'delta':>6}")
     for entry in diff.entries[: args.top]:

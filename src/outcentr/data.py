@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -132,16 +133,12 @@ class SplitPair:
 def encode_categoricals(raw) -> tuple[np.ndarray, tuple[str, ...]]:
     """Ordinal-encode a column of strings by first appearance.
 
-    Each distinct string maps to 0, 1, 2, ... in the order it first occurs.
-    Returns the encoded column and the level list (index = code).
+    Each distinct string, compared exactly, maps to 0, 1, 2, ... in the order
+    it first occurs. Returns the encoded column and the level list (index = code).
     """
-    codes = {}
-    out = np.empty(len(raw), dtype=np.float64)
-    for i, token in enumerate(raw):
-        if token not in codes:
-            codes[token] = len(codes)
-        out[i] = codes[token]
-    return out, tuple(codes)
+    levels = tuple(dict.fromkeys(raw))
+    codes = dict(zip(levels, map(float, range(len(levels)))))
+    return np.fromiter(map(codes.__getitem__, raw), dtype=np.float64, count=len(raw)), levels
 
 
 def _parse_label(token: str, positive: str, negative: str) -> int:
@@ -153,11 +150,9 @@ def _parse_label(token: str, positive: str, negative: str) -> int:
     try:
         value = float(token)
     except ValueError:
-        raise DataError(f"non-binary label {token!r}") from None
-    if value == 1.0:
-        return 1
-    if value == 0.0:
-        return 0
+        value = None
+    if value in (0.0, 1.0):
+        return int(value)
     raise DataError(f"non-binary label {token!r}")
 
 
@@ -170,12 +165,15 @@ def load_csv(
     """Load a comma-separated file into a Dataset.
 
     First row is the header; a leading UTF-8 byte-order mark, as Excel
-    writes, is dropped. A column where every cell parses as a number
-    is kept numeric, and each of those numbers must be finite; any other
-    column is ordinal-encoded by first appearance. Empty cells are rejected
-    wherever they sit (no imputation). When ``label_column`` is given, that
-    column is removed from the attributes and stored as binary labels; its
-    values must match the positive/negative tokens or the literals 1/0.
+    writes, is dropped. A column where every cell, stripped, parses with
+    ``float()`` is kept numeric, and each of those numbers must be finite;
+    any other column is ordinal-encoded by first appearance of its stripped
+    tokens. Empty and whitespace-only cells are rejected wherever they sit
+    (no imputation). When ``label_column`` is given, that column is removed
+    from the attributes and stored as binary labels; its tokens must match
+    the positive/negative tokens or the literals 1/0. Cells are stripped only
+    in a column whose raw cells ``float()`` rejects: it skips the same
+    whitespace as ``str.strip()``, U+001C-U+001F aside.
     """
     path = existing_file(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -191,27 +189,29 @@ def load_csv(
                 raise DataError(
                     f"line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            rows.append([cell.strip() for cell in row])
+            rows.append(row)
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
 
+    n = len(rows)
     labels = None
     if label_column is not None:
         if label_column not in header:
             raise DataError(f"label column {label_column!r} not in header")
-        j = header.index(label_column)
-        labels = np.array(
-            [_parse_label(row[j], positive_token, negative_token) for row in rows],
-            dtype=np.int64,
-        )
-        header = header[:j] + header[j + 1 :]
-        rows = [row[:j] + row[j + 1 :] for row in rows]
+        raw = list(map(itemgetter(header.index(label_column)), rows))
+        parsed = {t: _parse_label(t, positive_token, negative_token) for t in dict.fromkeys(raw)}
+        labels = np.fromiter(map(parsed.__getitem__, raw), dtype=np.int64, count=n)
 
-    n, m = len(rows), len(header)
-    values = np.empty((n, m), dtype=np.float64)
+    names = [name for name in header if name != label_column]
+    values = np.empty((n, len(names)), dtype=np.float64)
     encodings = []
-    for j, name in enumerate(header):
-        column = [row[j] for row in rows]
+    for j, name in enumerate(names):
+        cell_of = itemgetter(header.index(name))
+        try:
+            values[:, j] = np.fromiter(map(float, map(cell_of, rows)), dtype=np.float64, count=n)
+            continue
+        except ValueError:
+            column = [cell.strip() for cell in map(cell_of, rows)]
         if "" in column:
             raise DataError(f"missing value in column {name!r}, row {column.index('') + 1}")
         try:
@@ -220,12 +220,8 @@ def load_csv(
             values[:, j], levels = encode_categoricals(column)
             encodings.append((name, levels))
 
-    return Dataset(
-        values=values,
-        attribute_names=tuple(header),
-        labels=labels,
-        categorical_levels=tuple(encodings),
-    )
+    del rows  # every cell's string: free them before Dataset copies the matrix
+    return Dataset(values, tuple(names), labels, categorical_levels=tuple(encodings))
 
 
 def write_csv(d: Dataset, path, label_column: str = "label") -> None:
@@ -237,16 +233,14 @@ def write_csv(d: Dataset, path, label_column: str = "label") -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = list(d.attribute_names)
+        rows = d.values.tolist()
         if d.labels is not None:
             if label_column in header:
                 raise DataError(f"label column name {label_column!r} collides")
             header.append(label_column)
+            rows = (row + [label] for row, label in zip(rows, d.labels.tolist()))
         writer.writerow(header)
-        for i in range(d.n):
-            row = [repr(float(v)) for v in d.values[i]]
-            if d.labels is not None:
-                row.append(str(int(d.labels[i])))
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def normalize_minmax(d: Dataset) -> Dataset:

@@ -4,6 +4,9 @@ Everything here is written from the textbook definitions with plain loops,
 deliberately sharing no code with the package internals.
 """
 
+import csv
+import math
+
 import numpy as np
 
 LOF_DISTANCE_FLOOR = 1e-12
@@ -103,3 +106,81 @@ def isolation_path_lengths(forest, x):
             total += forest.leaf_value[leaf]
         lengths.append(total / len(forest.roots))
     return np.array(lengths)
+
+
+class CsvRejected(Exception):
+    """A CSV file the loading rules reject; the message is the loader's."""
+
+
+def _binary_label(token, positive, negative):
+    if token == positive:
+        return 1
+    if token == negative:
+        return 0
+    try:
+        value = float(token)
+    except ValueError:
+        raise CsvRejected(f"non-binary label {token!r}") from None
+    if value == 1.0:
+        return 1
+    if value == 0.0:
+        return 0
+    raise CsvRejected(f"non-binary label {token!r}")
+
+
+def csv_dataset(path, label_column=None, positive="1", negative="0"):
+    """What loading a CSV file must give, applying the rules cell by cell.
+
+    Every cell is stripped first. The first row names the columns, and each
+    later row must have as many fields. The label column, when named, holds
+    the positive/negative tokens or numbers equal to 1/0. An empty cell in an
+    attribute column is a missing value. A column is numeric when float()
+    accepts every cell; otherwise each distinct token gets the next code in
+    order of first appearance. Values must be finite.
+
+    Returns (values, names, labels, levels), or raises CsvRejected with the
+    message of the first rule broken, checked in that order.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        table = [[cell.strip() for cell in row] for row in csv.reader(fh)]
+    if not table:
+        raise CsvRejected("empty dataset")
+    header, body = table[0], table[1:]
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise CsvRejected(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+    if len(set(header)) != len(header):
+        raise CsvRejected("duplicate column names in header")
+    labels = None
+    if label_column is not None:
+        if label_column not in header:
+            raise CsvRejected(f"label column {label_column!r} not in header")
+        k = header.index(label_column)
+        labels = [_binary_label(row[k], positive, negative) for row in body]
+        header = header[:k] + header[k + 1 :]
+        body = [row[:k] + row[k + 1 :] for row in body]
+
+    columns, levels = [], []
+    for j, name in enumerate(header):
+        cells = [row[j] for row in body]
+        for i, cell in enumerate(cells):
+            if cell == "":
+                raise CsvRejected(f"missing value in column {name!r}, row {i + 1}")
+        try:
+            column = [float(cell) for cell in cells]
+        except ValueError:
+            codes = {}
+            for cell in cells:
+                if cell not in codes:
+                    codes[cell] = len(codes)
+            column = [float(codes[cell]) for cell in cells]
+            levels.append((name, tuple(codes)))
+        columns.append(column)
+    if not body or not header:
+        raise CsvRejected("empty dataset")
+    for name, column in zip(header, columns):
+        for i, value in enumerate(column):
+            if not math.isfinite(value):
+                raise CsvRejected(f"non-finite value {value} in column {name!r}, row {i + 1}")
+    values = np.array(columns, dtype=np.float64).T
+    return values, tuple(header), labels, tuple(levels)

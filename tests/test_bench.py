@@ -326,6 +326,23 @@ class TestRankDiff:
         assert lines[0].startswith("attribute,rank_a,rank_b")
         assert len(lines) == 3
 
+    def test_cli_negative_top_is_exit_1(self, tmp_path, capsys):
+        a = self.export(tmp_path, "a.csv", [0.9, 0.5, 0.1], ["x", "y", "z"])
+        assert main(["rank-diff", str(a), str(a), "--top", "-2"]) == 1
+        assert capsys.readouterr() == ("", "config error: --top must be an integer >= 0, got -2\n")
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize(
+        "kind,message", [("missing", "no such rank file"), ("dir", "not a file")]
+    )
+    def test_cli_missing_or_directory_rank_file_is_exit_1(
+        self, tmp_path, capsys, side, kind, message
+    ):
+        paths = [self.export(tmp_path, "a.csv", [0.9, 0.5], ["x", "y"])] * 2
+        paths[side] = tmp_path / "nope.csv" if kind == "missing" else tmp_path
+        assert main(["rank-diff", *map(str, paths)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {message}: {paths[side]}\n")
+
     def test_malformed_export(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,rank\n1,2,3\n")

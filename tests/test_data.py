@@ -1,9 +1,13 @@
+import csv
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from outcentr.baselines import grp_model, pca_fit
 from outcentr.data import (
@@ -18,6 +22,8 @@ from outcentr.data import (
 )
 from outcentr.detectors import DetectorConfig, iforest_fit, iforest_score, lof_fit
 from outcentr.ranking import attribute_scores, compute_centroid, partition_labels
+
+from oracles import CsvRejected, csv_dataset
 
 
 def make_dataset(values, labels=None, names=None):
@@ -78,8 +84,37 @@ class TestLoadCsv:
             load_csv(path)
 
     @pytest.mark.parametrize(
+        "cell,value",
+        [
+            ("1_000", 1000.0),
+            ("１２", 12.0),
+            ("\x1c5", 5.0),
+            ("\u3000-7\t", -7.0),
+            ("infinity", np.inf),
+        ],
+    )
+    def test_float_syntax_decides_a_numeric_cell(self, tmp_path, cell, value):
+        path = tmp_path / "num.csv"
+        path.write_text(f"a\n0\n{cell}\n", encoding="utf-8")
+        if np.isfinite(value):
+            d = load_csv(path)
+            assert d.values[:, 0].tolist() == [0.0, value] and d.categorical_levels == ()
+        else:
+            # parsed as a number and then rejected; a token would have been encoded
+            with pytest.raises(DataError, match="non-finite value inf in column 'a', row 2"):
+                load_csv(path)
+
+    @pytest.mark.parametrize(
         "cells,row",
-        [(("x", "", "y"), 2), (("", "x", "y"), 1), (("1", "2", ""), 3), (("x", "y", ""), 3)],
+        [
+            (("x", "", "y"), 2),
+            (("", "x", "y"), 1),
+            (("1", "2", ""), 3),
+            (("x", "y", ""), 3),
+            # a whitespace-only cell is missing too, in a numeric or a text column
+            (("1", " \t", "2"), 2),
+            (("x", "y", "\x1f "), 3),
+        ],
     )
     def test_empty_cell_rejected_wherever_it_sits(self, tmp_path, cells, row):
         path = tmp_path / "gap.csv"
@@ -88,14 +123,21 @@ class TestLoadCsv:
             load_csv(path)
 
     @pytest.mark.parametrize(
-        "cells", [("1", "inf", "abc"), ("abc", "inf", "1"), ("nan", "abc", "2")]
+        "cells",
+        [
+            ("1", "inf", "abc"),
+            ("abc", "inf", "1"),
+            ("nan", "abc", "2"),
+            # tokens are stored stripped; a stripped numeric cell is still a token here
+            (" abc ", "\x1c5", "x\t"),
+        ],
     )
     def test_one_non_numeric_cell_makes_the_column_categorical(self, tmp_path, cells):
         path = tmp_path / "mixed.csv"
         path.write_text("a\n" + "".join(f"{cell}\n" for cell in cells))
         d = load_csv(path)
         assert d.values[:, 0].tolist() == [0.0, 1.0, 2.0]
-        assert d.categorical_levels == (("a", cells),)
+        assert d.categorical_levels == (("a", tuple(cell.strip() for cell in cells)),)
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         # Excel writes UTF-8 CSV files with a BOM ahead of the first header cell
@@ -117,13 +159,91 @@ class TestLoadCsv:
         d = load_csv(path, label_column="y", positive_token="yes", negative_token="no")
         assert d.labels.tolist() == [1, 0]
 
-    def test_roundtrip_through_write_csv(self, tmp_path):
-        d = make_dataset([[0.5, 1.25], [2.0, -3.5]], labels=np.array([0, 1]))
-        path = tmp_path / "out.csv"
-        write_csv(d, path, label_column="target")
-        back = load_csv(path, label_column="target")
-        assert np.array_equal(back.values, d.values)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, max_side=6),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    )
+    @example(values=np.array([[0.5, -0.0, 5e-324], [1.7e308, -1.7e308, -2.2250738585072014e-308]]))
+    def test_roundtrip_through_write_csv(self, values):
+        d = make_dataset(values, labels=np.arange(len(values)) % 2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            write_csv(d, path, label_column="target")
+            back = load_csv(path, label_column="target")
+        # bit-identical: -0.0, subnormals and the largest finite floats come back as written
+        assert back.values.tobytes() == d.values.tobytes()
         assert np.array_equal(back.labels, d.labels)
+
+
+_PADDING = st.text(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000", max_size=2)
+_NUMBERS = (
+    "0", "1", "-2.5", "1e3", "1_000", "１２", "-0", "5e-324", "1.7e308", "nan", "inf", "infinity"
+)
+_TOKENS = ("a", "a\x00", "a b", "x,y", 'say "hi"', "1e", "0x1", "")
+_LABELS = ("0", "1") * 3 + ("1.0", "-0", "0e0", "yes", "no", "2", "nan", "")
+
+
+@st.composite
+def _padded(draw, cores):
+    return draw(_PADDING) + draw(st.sampled_from(cores)) + draw(_PADDING)
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header plus rows: numeric, text and mixed columns, padded cells, maybe a label."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    columns = []
+    for _ in range(m):
+        # _NUMBERS[:9] holds only finite numbers, so some tables load
+        pool = draw(st.sampled_from([_NUMBERS, _NUMBERS[:9], _TOKENS, _NUMBERS + _TOKENS]))
+        columns.append(draw(st.lists(_padded(pool), min_size=n, max_size=n)))
+    header = [f" c{j} " for j in range(m)]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, m))
+        header.insert(at, "label")
+        columns.insert(at, draw(st.lists(_padded(_LABELS), min_size=n, max_size=n)))
+    return header, list(zip(*columns))
+
+
+def _loaded(path, label, tokens):
+    """load_csv's Dataset as comparable parts, or its error message."""
+    try:
+        d = load_csv(path, label, *tokens)
+    except DataError as exc:
+        return str(exc)
+    labels = None if d.labels is None else d.labels.tolist()
+    return d.values.tobytes(), d.values.shape, d.attribute_names, labels, d.categorical_levels
+
+
+def _expected(path, label, tokens):
+    """The oracle's Dataset as the same parts, or the message it must fail with."""
+    try:
+        values, names, labels, levels = csv_dataset(path, label, *tokens)
+    except CsvRejected as exc:
+        return str(exc)
+    return values.tobytes(), values.shape, names, labels, levels
+
+
+class TestLoadCsvAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        table=_csv_tables(),
+        label=st.sampled_from([None, "label", "c0"]),
+        tokens=st.sampled_from([("1", "0"), ("yes", "no")]),
+    )
+    def test_same_dataset_or_same_error(self, table, label, tokens):
+        header, rows = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            with path.open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+            assert _loaded(path, label, tokens) == _expected(path, label, tokens)
 
 
 @pytest.mark.parametrize(
