@@ -150,9 +150,11 @@ def _parse_label(token: str, positive: str, negative: str) -> int:
     try:
         value = float(token)
     except ValueError:
-        value = None
-    if value in (0.0, 1.0):
-        return int(value)
+        raise DataError(f"non-binary label {token!r}") from None
+    if value == 1.0:
+        return 1
+    if value == 0.0:
+        return 0
     raise DataError(f"non-binary label {token!r}")
 
 
@@ -171,9 +173,7 @@ def load_csv(
     tokens. Empty and whitespace-only cells are rejected wherever they sit
     (no imputation). When ``label_column`` is given, that column is removed
     from the attributes and stored as binary labels; its tokens must match
-    the positive/negative tokens or the literals 1/0. Cells are stripped only
-    in a column whose raw cells ``float()`` rejects: it skips the same
-    whitespace as ``str.strip()``, U+001C-U+001F aside.
+    the positive/negative tokens or the literals 1/0.
     """
     path = existing_file(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -206,12 +206,7 @@ def load_csv(
     values = np.empty((n, len(names)), dtype=np.float64)
     encodings = []
     for j, name in enumerate(names):
-        cell_of = itemgetter(header.index(name))
-        try:
-            values[:, j] = np.fromiter(map(float, map(cell_of, rows)), dtype=np.float64, count=n)
-            continue
-        except ValueError:
-            column = [cell.strip() for cell in map(cell_of, rows)]
+        column = list(map(str.strip, map(itemgetter(header.index(name)), rows)))
         if "" in column:
             raise DataError(f"missing value in column {name!r}, row {column.index('') + 1}")
         try:
@@ -221,7 +216,12 @@ def load_csv(
             encodings.append((name, levels))
 
     del rows  # every cell's string: free them before Dataset copies the matrix
-    return Dataset(values, tuple(names), labels, categorical_levels=tuple(encodings))
+    return Dataset(
+        values=values,
+        attribute_names=tuple(names),
+        labels=labels,
+        categorical_levels=tuple(encodings),
+    )
 
 
 def write_csv(d: Dataset, path, label_column: str = "label") -> None:
