@@ -206,14 +206,20 @@ def load_csv(
     values = np.empty((n, len(names)), dtype=np.float64)
     encodings = []
     for j, name in enumerate(names):
-        column = list(map(str.strip, map(itemgetter(header.index(name)), rows)))
-        if "" in column:
-            raise DataError(f"missing value in column {name!r}, row {column.index('') + 1}")
+        cell_of = itemgetter(header.index(name))
         try:
-            values[:, j] = np.fromiter(map(float, column), dtype=np.float64, count=n)
+            # float() skips the whitespace strip() removes, U+001C-U+001F aside,
+            # so a clean numeric column is parsed without stripping its cells
+            values[:, j] = np.fromiter(map(float, map(cell_of, rows)), dtype=np.float64, count=n)
         except ValueError:
-            values[:, j], levels = encode_categoricals(column)
-            encodings.append((name, levels))
+            column = list(map(str.strip, map(cell_of, rows)))
+            if "" in column:
+                raise DataError(f"missing value in column {name!r}, row {column.index('') + 1}")
+            try:
+                values[:, j] = np.fromiter(map(float, column), dtype=np.float64, count=n)
+            except ValueError:
+                values[:, j], levels = encode_categoricals(column)
+                encodings.append((name, levels))
 
     del rows  # every cell's string: free them before Dataset copies the matrix
     return Dataset(
