@@ -158,6 +158,20 @@ def _parse_label(token: str, positive: str, negative: str) -> int:
     raise DataError(f"non-binary label {token!r}")
 
 
+def _parse_labels(raw, positive: str, negative: str) -> np.ndarray:
+    """Binary labels of a column of tokens; each distinct token is parsed once."""
+    parsed = {t: _parse_label(t, positive, negative) for t in dict.fromkeys(raw)}
+    return np.fromiter(map(parsed.__getitem__, raw), dtype=np.int64, count=len(raw))
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def load_csv(
     path,
     label_column: str | None = None,
@@ -174,8 +188,88 @@ def load_csv(
     (no imputation). When ``label_column`` is given, that column is removed
     from the attributes and stored as binary labels; its tokens must match
     the positive/negative tokens or the literals 1/0.
+
+    A clean file is read by numpy's C text reader. Any other file is read
+    row by row with ``csv.reader``, which gives the same Dataset and raises
+    every error; see :func:`_load_clean_csv` for which files are clean.
     """
-    path = existing_file(path)
+    args = (existing_file(path), label_column, positive_token, negative_token)
+    return _load_clean_csv(*args) or _load_csv_rows(*args)
+
+
+def _load_clean_csv(path, label_column, positive_token, negative_token) -> Dataset | None:
+    """:func:`load_csv`'s Dataset read by ``np.loadtxt``, or None when in doubt.
+
+    Given the open handle (a path would turn a quoted CRLF into LF),
+    ``np.loadtxt`` splits and unquotes fields as ``csv.reader`` does. But it
+    skips blank lines, reads the NUL that ``csv.reader`` rejects before
+    Python 3.11, and counts ``skiprows`` in lines, not records. So a file with
+    a blank line or a NUL, a header on more than one line, no data row, a
+    first row of another width or a duplicate column name is left to the
+    row-wise reader. One read with a structured dtype types each column by
+    its first row: float64 where that cell, stripped, parses with ``float()``,
+    else str objects, as for the label column. Without ``usecols`` every row
+    must have the header's width. A ValueError (undecodable text, a number
+    ``np.loadtxt`` rejects, a row of another width, a bad label, a non-finite
+    value) or an empty text cell also returns None: the row-wise reader then
+    names the fault, or reads the numbers that only ``float()`` accepts. A
+    field longer than ``csv.field_size_limit()`` is not checked.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+            blank = ("\n\n", "\n\r", "\r\r") if "\r" in text else ("\n\n",)
+            if text[:1] in "\r\n" or "\x00" in text or any(map(text.__contains__, blank)):
+                return None
+            del text
+            fh.seek(0)
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader)]
+            first = next(reader, None) if reader.line_num == 1 else None
+            if first is None or len(first) != len(header) or len(set(header)) != len(header):
+                return None
+            numeric = [h != label_column and _is_number(c.strip()) for h, c in zip(header, first)]
+            fh.seek(0)
+            table = np.loadtxt(
+                fh,
+                dtype=[(str(j), np.float64 if num else object) for j, num in enumerate(numeric)],
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                skiprows=1,
+                ndmin=1,
+            )
+        labels = None
+        if label_column is not None:
+            labels = _parse_labels(
+                table[str(header.index(label_column))].tolist(), positive_token, negative_token
+            )
+        names = [name for name in header if name != label_column]
+        values = np.empty((len(table), len(names)), dtype=np.float64)
+        encodings = []
+        for j, name in enumerate(names):
+            field = str(header.index(name))
+            if table.dtype[field] == object:
+                column = list(map(str.strip, table[field].tolist()))
+                if "" in column:
+                    return None
+                values[:, j], levels = encode_categoricals(column)
+                encodings.append((name, levels))
+            else:
+                values[:, j] = table[field]
+        del table  # every text cell's string: free them before Dataset copies the matrix
+        return Dataset(
+            values=values,
+            attribute_names=tuple(names),
+            labels=labels,
+            categorical_levels=tuple(encodings),
+        )
+    except ValueError:
+        return None
+
+
+def _load_csv_rows(path, label_column, positive_token, negative_token) -> Dataset:
+    """:func:`load_csv` with ``csv.reader``, row by row: the reader of any file and every error."""
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -184,10 +278,10 @@ def load_csv(
             raise DataError("empty dataset") from None
         header = [h.strip() for h in header]
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) != len(header):
                 raise DataError(
-                    f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+                    f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
             rows.append(row)
     if len(set(header)) != len(header):
@@ -198,9 +292,9 @@ def load_csv(
     if label_column is not None:
         if label_column not in header:
             raise DataError(f"label column {label_column!r} not in header")
-        raw = list(map(itemgetter(header.index(label_column)), rows))
-        parsed = {t: _parse_label(t, positive_token, negative_token) for t in dict.fromkeys(raw)}
-        labels = np.fromiter(map(parsed.__getitem__, raw), dtype=np.int64, count=n)
+        labels = _parse_labels(
+            list(map(itemgetter(header.index(label_column)), rows)), positive_token, negative_token
+        )
 
     names = [name for name in header if name != label_column]
     values = np.empty((n, len(names)), dtype=np.float64)

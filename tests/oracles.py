@@ -132,7 +132,8 @@ def csv_dataset(path, label_column=None, positive="1", negative="0"):
     """What loading a CSV file must give, applying the rules cell by cell.
 
     Every cell is stripped first. The first row names the columns, and each
-    later row must have as many fields. The label column, when named, holds
+    later row must have as many fields; a row that does not is named by the
+    line of the file it ends on. The label column, when named, holds
     the positive/negative tokens or numbers equal to 1/0. An empty cell in an
     attribute column is a missing value. A column is numeric when float()
     accepts every cell; otherwise each distinct token gets the next code in
@@ -142,13 +143,15 @@ def csv_dataset(path, label_column=None, positive="1", negative="0"):
     message of the first rule broken, checked in that order.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        table = [[cell.strip() for cell in row] for row in csv.reader(fh)]
+        reader = csv.reader(fh)
+        # each row with the line it ends on; a quoted field may span lines
+        table = [([cell.strip() for cell in row], reader.line_num) for row in reader]
     if not table:
         raise CsvRejected("empty dataset")
-    header, body = table[0], table[1:]
-    for lineno, row in enumerate(body, start=2):
+    header, body = table[0][0], [row for row, _ in table[1:]]
+    for row, line in table[1:]:
         if len(row) != len(header):
-            raise CsvRejected(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            raise CsvRejected(f"line {line}: expected {len(header)} fields, got {len(row)}")
     if len(set(header)) != len(header):
         raise CsvRejected("duplicate column names in header")
     labels = None

@@ -1,5 +1,8 @@
 import csv
 import dataclasses
+import io
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from outcentr import data
 from outcentr.baselines import grp_model, pca_fit
 from outcentr.data import (
     DataError,
@@ -71,6 +75,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="expected 2 fields"):
             load_csv(path)
 
+    def test_ragged_row_after_a_quoted_newline_names_its_line(self, tmp_path):
+        # the short row is the file's fourth line but its third record
+        path = tmp_path / "ragged.csv"
+        path.write_text('a,b\n"x\ny",1\n1\n')
+        with pytest.raises(DataError, match="^line 4: expected 2 fields, got 1$"):
+            load_csv(path)
+
     def test_missing_cell_rejected(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("a,b\n1,2\n,4\n")
@@ -88,6 +99,8 @@ class TestLoadCsv:
         [
             ("1_000", 1000.0),
             ("１２", 12.0),
+            ("٣", 3.0),
+            ("١٢", 12.0),
             ("\x1c5", 5.0),
             ("\u3000-7\t", -7.0),
             ("infinity", np.inf),
@@ -179,11 +192,97 @@ class TestLoadCsv:
         assert np.array_equal(back.labels, d.labels)
 
 
+def _row_wise_calls(monkeypatch):
+    """A list that grows by one each time load_csv hands a file to its row-wise reader."""
+    calls = []
+    row_wise = data._load_csv_rows
+
+    def spy(*args):
+        calls.append(args)
+        return row_wise(*args)
+
+    monkeypatch.setattr(data, "_load_csv_rows", spy)
+    return calls
+
+
+class TestLoadCsvReader:
+    """A clean file is read by numpy's C reader; any other by csv.reader, row by row."""
+
+    def test_clean_file_loads_through_numpys_reader(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a clean file went to the row-wise reader")
+
+        monkeypatch.setattr(data, "_load_csv_rows", refuse)
+        path = tmp_path / "clean.csv"
+        path.write_bytes(
+            "\ufeffproto, n ,label,note\r\n"
+            'tcp,1.5,attack,"say ""hi"""\r\n'
+            ' udp ,-2e3,normal,"x\r\ny"\r\n'
+            "tcp,\x1c7\xa0,normal,plain".encode()
+        )
+        d = load_csv(path, label_column="label", positive_token="attack", negative_token="normal")
+        assert d.attribute_names == ("proto", "n", "note")
+        assert d.values.tolist() == [[0.0, 1.5, 0.0], [1.0, -2000.0, 1.0], [0.0, 7.0, 2.0]]
+        assert d.labels.tolist() == [1, 0, 0]
+        assert d.categorical_levels == (
+            ("proto", ("tcp", "udp")),
+            ("note", ('say "hi"', "x\r\ny", "plain")),
+        )
+
+    @pytest.mark.parametrize(
+        "text,label,expected,row_wise",
+        [
+            # given a path, np.loadtxt would read the quoted \r\n as \n
+            ('s,n\r\n"x\r\ny",1\r\n"x\ny",2\r\n', None,
+             ([[0, 1], [1, 2]], {"s": ("x\r\ny", "x\ny")}), False),
+            ('s,n\n"say ""hi""",1\nb,2\n', None, ([[0, 1], [1, 2]], {"s": ('say "hi"', "b")}),
+             False),
+            ("a\n\x1c5\n\xa05\xa0\n", None, ([[5], [5]], {}), False),
+            # float() reads these and np.loadtxt does not: the column stays numeric
+            ("a\n1_000\n١٢\n", None, ([[1000], [12]], {}), True),
+            ("a\n1\n1e500\n", None, "non-finite value inf in column 'a', row 2", True),
+            ("a\n1\ninFinitY\n", None, "non-finite value inf in column 'a', row 2", True),
+            ("", None, "empty dataset", True),
+            # np.loadtxt skips a blank line
+            ("a\n1\n2\n\n", None, "line 4: expected 1 fields, got 0", True),
+            ("a\n1\n2\n\r\n", None, "line 4: expected 1 fields, got 0", True),
+            ("a,b\n1,2\n\n3,4\n", None, "line 3: expected 2 fields, got 0", True),
+            # with usecols, np.loadtxt would drop the extra field
+            ("a,b\n1,2\n3,4,5\n", None, "line 3: expected 2 fields, got 3", True),
+            ("a,b,c\n1,2\n3,4\n", None, "line 2: expected 3 fields, got 2", True),
+            # skiprows counts lines, not records
+            ('"a\nb",c\nx,y\n', None, ([[0, 0]], {"a\nb": ("x",), "c": ("y",)}), True),
+            ("a\n1\nx\n", None, ([[0], [1]], {"a": ("1", "x")}), True),
+            ("a\nx\n \n", None, "missing value in column 'a', row 2", True),
+            ("a,label\n1,0\n2,2\n", "label", "non-binary label '2'", True),
+            ("a,label,label\n1,0,0\n", "label", "duplicate column names in header", True),
+            pytest.param(
+                "a\na\x00\nb\n", None, ([[0], [1]], {"a": ("a\x00", "b")}), True,
+                marks=pytest.mark.skipif(
+                    sys.version_info < (3, 11), reason="csv.reader rejects NUL before Python 3.11"
+                ),
+            ),
+        ],
+    )
+    def test_doubtful_file_loads_or_fails_as_the_row_wise_reader_has_it(
+        self, tmp_path, monkeypatch, text, label, expected, row_wise
+    ):
+        calls = _row_wise_calls(monkeypatch)
+        path = tmp_path / "trap.csv"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+                load_csv(path, label)
+        else:
+            d = load_csv(path, label)
+            assert (d.values.tolist(), dict(d.categorical_levels)) == expected
+        assert bool(calls) == row_wise
+
+
 _PADDING = st.text(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000", max_size=2)
-_NUMBERS = (
-    "0", "1", "-2.5", "1e3", "1_000", "１２", "-0", "5e-324", "1.7e308", "nan", "inf", "infinity"
-)
-_TOKENS = ("a", "a\x00", "a b", "x,y", 'say "hi"', "1e", "0x1", "")
+_FINITE = ("0", "1", "-2.5", "1e3", "1_000", "１２", "٣", "١٢", "-0", "5e-324", "1.7e308")
+_NUMBERS = _FINITE + ("nan", "inf", "infinity")
+_TOKENS = ("a", "a\x00", "a b", "x,y", 'say "hi"', "x\ny", "x\r\ny", "1e", "0x1", "")
 _LABELS = ("0", "1") * 3 + ("1.0", "-0", "0e0", "yes", "no", "2", "nan", "")
 
 
@@ -194,26 +293,39 @@ def _padded(draw, cores):
 
 @st.composite
 def _csv_tables(draw):
-    """A header plus rows: numeric, text and mixed columns, padded cells, maybe a label."""
+    """The text of a CSV file: numeric, text and mixed columns, padded cells,
+    maybe a label, LF or CRLF line ends, now and then a blank line, and
+    header cells that may span two lines."""
     n, m = draw(st.integers(0, 5)), draw(st.integers(1, 3))
     columns = []
     for _ in range(m):
-        # _NUMBERS[:9] holds only finite numbers, so some tables load
-        pool = draw(st.sampled_from([_NUMBERS, _NUMBERS[:9], _TOKENS, _NUMBERS + _TOKENS]))
-        columns.append(draw(st.lists(_padded(pool), min_size=n, max_size=n)))
-    header = [f" c{j} " for j in range(m)]
+        # _FINITE holds only finite numbers, so some tables load
+        pool = draw(st.sampled_from([_NUMBERS, _FINITE, _TOKENS, _NUMBERS + _TOKENS]))
+        column = draw(st.lists(_padded(pool), min_size=n, max_size=n))
+        if column and draw(st.booleans()):
+            column[0] = draw(_padded(_FINITE))  # a number first, whatever follows
+        columns.append(column)
+    header = [draw(st.sampled_from([f" c{j} ", f"c{j}\n", f"c{j}\r\n"])) for j in range(m)]
     if draw(st.booleans()):
         at = draw(st.integers(0, m))
         header.insert(at, "label")
         columns.insert(at, draw(st.lists(_padded(_LABELS), min_size=n, max_size=n)))
-    return header, list(zip(*columns))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=end)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow(row)
+        if draw(st.integers(0, 7)) == 7:
+            out.write(end)
+    return out.getvalue()
 
 
 def _loaded(path, label, tokens):
     """load_csv's Dataset as comparable parts, or its error message."""
     try:
         d = load_csv(path, label, *tokens)
-    except DataError as exc:
+    except (DataError, csv.Error) as exc:  # csv.reader rejects NUL before Python 3.11
         return str(exc)
     labels = None if d.labels is None else d.labels.tolist()
     return d.values.tobytes(), d.values.shape, d.attribute_names, labels, d.categorical_levels
@@ -223,7 +335,7 @@ def _expected(path, label, tokens):
     """The oracle's Dataset as the same parts, or the message it must fail with."""
     try:
         values, names, labels, levels = csv_dataset(path, label, *tokens)
-    except CsvRejected as exc:
+    except (CsvRejected, csv.Error) as exc:
         return str(exc)
     return values.tobytes(), values.shape, names, labels, levels
 
@@ -231,18 +343,19 @@ def _expected(path, label, tokens):
 class TestLoadCsvAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(
-        table=_csv_tables(),
+        text=_csv_tables(),
         label=st.sampled_from([None, "label", "c0"]),
         tokens=st.sampled_from([("1", "0"), ("yes", "no")]),
     )
-    def test_same_dataset_or_same_error(self, table, label, tokens):
-        header, rows = table
+    @example(text="c0,label\r\n1,0\r\n\r\n2,1\r\n", label="label", tokens=("1", "0"))
+    @example(text="c0\n1\n2\n\n", label=None, tokens=("1", "0"))
+    @example(text='"c\n0",c1\r\n"x\r\ny",1\r\n"say ""hi""",2\r\n', label=None, tokens=("1", "0"))
+    @example(text="c0,c1\n1,٣\nx,١٢\n", label=None, tokens=("1", "0"))
+    @example(text='c0,label\n"a,b",yes\n"a\nb",no\n', label="label", tokens=("yes", "no"))
+    def test_same_dataset_or_same_error(self, text, label, tokens):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
-            with path.open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
+            path.write_text(text, encoding="utf-8", newline="")
             assert _loaded(path, label, tokens) == _expected(path, label, tokens)
 
 
