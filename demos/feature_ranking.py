@@ -25,9 +25,9 @@ data = oc.normalize_minmax(data)
 
 # The two class centroids. Their per-attribute gap is the whole trick:
 # attributes whose means barely move between classes cannot help a detector.
-part = oc.partition_labels(data)
-c_out = oc.compute_centroid(data, part.outlier_rows, "outlier")
-c_in = oc.compute_centroid(data, part.inlier_rows, "inlier")
+outlier_rows, inlier_rows = oc.partition_labels(data)
+c_out = oc.compute_centroid(data, outlier_rows)
+c_in = oc.compute_centroid(data, inlier_rows)
 scores = oc.distinguishability_scores(c_out, c_in)
 
 rank = oc.attribute_rank(scores, data.attribute_names, t=oc.top_t(data.m, 0.10))
@@ -54,7 +54,7 @@ print(f"fresh slice projected to m={oc.transform(fresh, rank).m}")
 
 # For reporting, the per-attribute mean deviation from a chosen class
 # centroid shows how far the population sits from each class profile.
-report = oc.attribute_scores(data, range(data.n), c_out)
-biggest = int(np.abs(report.values).argmax())
+deviation = oc.attribute_scores(data, range(data.n), c_out)
+biggest = int(np.abs(deviation).argmax())
 print(f"\nlargest mean deviation from the outlier centroid: "
-      f"{data.attribute_names[biggest]} ({report.values[biggest]:+.4f})")
+      f"{data.attribute_names[biggest]} ({deviation[biggest]:+.4f})")

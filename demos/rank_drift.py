@@ -41,9 +41,9 @@ for tag, data in (("early", early), ("late", late)):
     oc.export_rank(rank, out_dir / f"rank_{tag}.csv")
     print(f"{tag}: selected {rank.selected}")
 
-diff = rank_diff(out_dir / "rank_early.csv", out_dir / "rank_late.csv")
+entries = rank_diff(out_dir / "rank_early.csv", out_dir / "rank_late.csv")
 print(f"\n{'attribute':<10} {'early':>6} {'late':>6} {'delta':>6}  note")
-for entry in diff.entries:
+for entry in entries:
     note = ""
     if entry.selected_b and not entry.selected_a:
         note = "newly selected"
@@ -52,5 +52,5 @@ for entry in diff.entries:
     print(f"{entry.attribute:<10} {entry.rank_a:>6} {entry.rank_b:>6} "
           f"{entry.rank_delta:>+6d}  {note}")
 
-oc.write_rank_diff_csv(diff, out_dir / "diff.csv")
+oc.write_rank_diff_csv(entries, out_dir / "diff.csv")
 print(f"\nwrote {out_dir / 'diff.csv'}")

@@ -53,10 +53,6 @@ from .detectors import (
 from .metrics import Confusion, MetricSet, confusion, prf1, roc_auc
 from .ranking import (
     AttributeRank,
-    AttributeScoreReport,
-    Centroid,
-    LabelPartition,
-    RankDiff,
     RankDiffEntry,
     attribute_rank,
     attribute_scores,

@@ -134,18 +134,14 @@ def _cmd_rank(args) -> int:
 
 
 def _write_attribute_scores(data, path, absolute: bool) -> None:
-    part = partition_labels(data)
-    all_rows = range(data.n)
-    vs_outlier = attribute_scores(
-        data, all_rows, compute_centroid(data, part.outlier_rows, "outlier"), absolute
-    )
-    vs_inlier = attribute_scores(
-        data, all_rows, compute_centroid(data, part.inlier_rows, "inlier"), absolute
+    vs_outlier, vs_inlier = (
+        attribute_scores(data, range(data.n), compute_centroid(data, rows), absolute)
+        for rows in partition_labels(data)
     )
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["attribute", "score_vs_outlier_centroid", "score_vs_inlier_centroid"])
-        for name, a, b in zip(data.attribute_names, vs_outlier.values, vs_inlier.values):
+        for name, a, b in zip(data.attribute_names, vs_outlier, vs_inlier):
             writer.writerow([name, repr(float(a)), repr(float(b))])
 
 
@@ -154,15 +150,15 @@ def _cmd_rank_diff(args) -> int:
         raise ConfigError(f"--top must be an integer >= 0, got {args.top}")
     for path in (args.rank_a, args.rank_b):
         existing_file(path, "rank file", ConfigError)
-    diff = rank_diff(args.rank_a, args.rank_b)
+    entries = rank_diff(args.rank_a, args.rank_b)
     print(f"{'attribute':<24} {'rank_a':>6} {'rank_b':>6} {'delta':>6}")
-    for entry in diff.entries[: args.top]:
+    for entry in entries[: args.top]:
         rank_a = "-" if entry.rank_a is None else entry.rank_a
         rank_b = "-" if entry.rank_b is None else entry.rank_b
         delta = "-" if entry.rank_delta is None else f"{entry.rank_delta:+d}"
         print(f"{entry.attribute:<24} {rank_a:>6} {rank_b:>6} {delta:>6}")
     if args.out:
-        write_rank_diff_csv(diff, args.out)
+        write_rank_diff_csv(entries, args.out)
         print(args.out)
     return 0
 

@@ -212,8 +212,9 @@ def _load_clean_csv(path, label_column, positive_token, negative_token) -> Datas
     must have the header's width. A ValueError (undecodable text, a number
     ``np.loadtxt`` rejects, a row of another width, a bad label, a non-finite
     value) or an empty text cell also returns None: the row-wise reader then
-    names the fault, or reads the numbers that only ``float()`` accepts. A
-    field longer than ``csv.field_size_limit()`` is not checked.
+    names the fault, or reads the numbers that only ``float()`` accepts. So
+    does a file where a field may be longer than ``csv.field_size_limit()``,
+    which ``np.loadtxt`` does not enforce.
     """
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -239,6 +240,15 @@ def _load_clean_csv(path, label_column, positive_token, negative_token) -> Datas
                 skiprows=1,
                 ndmin=1,
             )
+            # csv.reader refuses a field longer than csv.field_size_limit(). No
+            # record spans more lines than are left after one per other record
+            # and the header, so the longest run of that many lines bounds
+            # every field.
+            fh.seek(0)
+            ends = np.cumsum([0, *map(len, fh)])
+            span = len(ends) - 1 - len(table)
+            if (ends[span:] - ends[:-span]).max() > csv.field_size_limit():
+                return None
         labels = None
         if label_column is not None:
             labels = _parse_labels(

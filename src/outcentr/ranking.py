@@ -6,8 +6,12 @@ the absolute gap between the centroids, rank attributes by that score, and
 project the data onto the top-t attributes. Attributes whose class means
 barely differ carry no outlier signal and are dropped.
 
-A rank round-trips through a CSV export (:func:`export_rank` and
-:func:`load_rank`), and :func:`rank_diff` compares two such exports.
+The centroid helpers take and return plain numpy arrays: row-index arrays
+from :func:`partition_labels`, one value per attribute from
+:func:`compute_centroid`, :func:`distinguishability_scores` and
+:func:`attribute_scores`. A rank round-trips through a CSV export
+(:func:`export_rank` and :func:`load_rank`), and :func:`rank_diff` compares
+two such exports entry by entry.
 """
 
 from __future__ import annotations
@@ -20,35 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, existing_file, freeze_fields
-
-CLASS_TAGS = ("outlier", "inlier", "all")
-
-
-@dataclass(frozen=True)
-class Centroid:
-    """Per-attribute mean of a set of rows.
-
-    ``class_tag`` records which rows were averaged: "outlier", "inlier", or
-    "all". On normalized data every entry lies in [0, 1].
-    """
-
-    values: np.ndarray
-    source_count: int
-    class_tag: str
-
-    def __post_init__(self):
-        freeze_fields(self, "values")
-        if self.values.ndim != 1:
-            raise ValueError("centroid must be a vector")
-        if self.source_count < 1:
-            raise ValueError("source_count must be >= 1")
-        if self.class_tag not in CLASS_TAGS:
-            raise ValueError(f"unknown class tag {self.class_tag!r}")
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
+from .data import DataError, Dataset, existing_file
 
 
 @dataclass(frozen=True)
@@ -83,43 +59,8 @@ class AttributeRank:
         return tuple(name for name, _ in self.entries[: self.t])
 
 
-@dataclass(frozen=True)
-class AttributeScoreReport:
-    """Per-attribute mean deviation of a row set from a class centroid.
-
-    Reporting output for feature-importance inspection; not used for
-    selection. ``absolute`` records whether deviations were averaged signed
-    (the default) or as absolute values.
-    """
-
-    values: np.ndarray
-    attribute_names: tuple[str, ...]
-    class_tag: str
-    absolute: bool = False
-
-    def __post_init__(self):
-        freeze_fields(self, "values")
-        if self.values.ndim != 1 or len(self.attribute_names) != self.values.shape[0]:
-            raise ValueError("score vector and attribute names disagree")
-        if not np.isfinite(self.values).all():
-            raise ValueError("attribute scores must be finite")
-
-
-@dataclass(frozen=True)
-class LabelPartition:
-    """Row indices of the labeled outlier and inlier classes."""
-
-    outlier_rows: np.ndarray
-    inlier_rows: np.ndarray
-
-    def __post_init__(self):
-        freeze_fields(self, "outlier_rows", "inlier_rows", dtype=np.int64)
-        if np.intersect1d(self.outlier_rows, self.inlier_rows).size:
-            raise ValueError("outlier and inlier rows overlap")
-
-
-def partition_labels(d: Dataset) -> LabelPartition:
-    """Split a labeled dataset's row indices by class.
+def partition_labels(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Split a labeled dataset's row indices by class: (outlier_rows, inlier_rows).
 
     Warns (does not fail) when outliers are not the minority, since every
     useful configuration has far fewer outliers than inliers.
@@ -134,35 +75,26 @@ def partition_labels(d: Dataset) -> LabelPartition:
             f"inlier class ({inlier_rows.size})",
             stacklevel=2,
         )
-    return LabelPartition(outlier_rows=outlier_rows, inlier_rows=inlier_rows)
+    return outlier_rows, inlier_rows
 
 
-def compute_centroid(d: Dataset, rows, class_tag: str = "all") -> Centroid:
+def compute_centroid(d: Dataset, rows) -> np.ndarray:
     """Arithmetic mean of the given rows, one entry per attribute."""
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("cannot compute a centroid of zero rows")
-    return Centroid(
-        values=d.values[rows].mean(axis=0),
-        source_count=int(rows.size),
-        class_tag=class_tag,
-    )
+    return d.values[rows].mean(axis=0)
 
 
-def distinguishability_scores(c_out: Centroid, c_in: Centroid) -> np.ndarray:
+def distinguishability_scores(c_out: np.ndarray, c_in: np.ndarray) -> np.ndarray:
     """Per-attribute absolute gap between the outlier and inlier centroids.
 
     On normalized data every score lies in [0, 1]; larger means the attribute
     separates the classes better.
     """
-    if c_out.class_tag != "outlier" or c_in.class_tag != "inlier":
-        raise ValueError(
-            f"expected (outlier, inlier) centroids, got "
-            f"({c_out.class_tag!r}, {c_in.class_tag!r})"
-        )
-    if c_out.m != c_in.m:
-        raise ValueError(f"centroid lengths differ: {c_out.m} vs {c_in.m}")
-    return np.abs(c_out.values - c_in.values)
+    if c_out.shape != c_in.shape:
+        raise ValueError(f"centroid lengths differ: {c_out.size} vs {c_in.size}")
+    return np.abs(c_out - c_in)
 
 
 def attribute_rank(scores, names, t: int) -> AttributeRank:
@@ -176,9 +108,7 @@ def attribute_rank(scores, names, t: int) -> AttributeRank:
     return AttributeRank(entries=entries, t=t)
 
 
-def attribute_scores(
-    d: Dataset, rows, c: Centroid, absolute: bool = False
-) -> AttributeScoreReport:
+def attribute_scores(d: Dataset, rows, centroid: np.ndarray, absolute: bool = False) -> np.ndarray:
     """Mean deviation of the given rows from a class centroid, per attribute.
 
     Signed by default, so rows scored against their own centroid average to
@@ -187,17 +117,12 @@ def attribute_scores(
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("cannot score an empty row set")
-    if c.m != d.m:
-        raise ValueError(f"centroid length {c.m} does not match m={d.m}")
-    deviations = d.values[rows] - c.values
+    if centroid.shape != (d.m,):
+        raise ValueError(f"centroid length {centroid.size} does not match m={d.m}")
+    deviations = d.values[rows] - centroid
     if absolute:
         deviations = np.abs(deviations)
-    return AttributeScoreReport(
-        values=deviations.mean(axis=0),
-        attribute_names=d.attribute_names,
-        class_tag=c.class_tag,
-        absolute=absolute,
-    )
+    return deviations.mean(axis=0)
 
 
 def top_t(m: int, t_fraction: float) -> int:
@@ -226,19 +151,17 @@ def fit_reducer(
         raise DataError("fit_reducer requires a normalized dataset")
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
-    part = partition_labels(train)
-    if part.outlier_rows.size == 0 or part.inlier_rows.size == 0:
+    outlier_rows, inlier_rows = partition_labels(train)
+    if outlier_rows.size == 0 or inlier_rows.size == 0:
         raise DataError("both classes must have labeled rows")
     rng = np.random.default_rng(seed)
-    sampled = []
-    for rows in (part.outlier_rows, part.inlier_rows):
+    centroids = []
+    for rows in (outlier_rows, inlier_rows):
         if ratio < 1.0:
             size = max(1, int(round(ratio * rows.size)))
             rows = rng.choice(rows, size=size, replace=False)
-        sampled.append(rows)
-    c_out = compute_centroid(train, sampled[0], "outlier")
-    c_in = compute_centroid(train, sampled[1], "inlier")
-    scores = distinguishability_scores(c_out, c_in)
+        centroids.append(compute_centroid(train, rows))
+    scores = distinguishability_scores(*centroids)
     return attribute_rank(scores, train.attribute_names, top_t(train.m, t_fraction))
 
 
@@ -279,7 +202,8 @@ def export_rank(rank: AttributeRank, path) -> None:
 def load_rank(path) -> AttributeRank:
     """Read an :func:`export_rank` CSV back; its 0/1 ``selected`` flags must mark a prefix.
 
-    Every ``distinguishability_score`` must parse as a finite number.
+    Every ``distinguishability_score`` must parse as a finite number, and no
+    attribute may appear twice.
     """
     path = existing_file(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -287,10 +211,16 @@ def load_rank(path) -> AttributeRank:
         header = next(reader, None)
         if header != ["rank", "attribute", "distinguishability_score", "selected"]:
             raise DataError(f"{path} is not an attribute-rank export")
-        entries, selected = [], []
+        entries, selected, first_row = [], [], {}
         for row in reader:
             if len(row) != 4 or row[3] not in ("0", "1"):
                 raise DataError(f"malformed rank row: {row!r}")
+            if row[1] in first_row:
+                raise DataError(
+                    f"{path}: row {reader.line_num}: attribute {row[1]!r} "
+                    f"already ranked on row {first_row[row[1]]}"
+                )
+            first_row[row[1]] = reader.line_num
             try:
                 score = float(row[2])
             except ValueError:
@@ -324,23 +254,12 @@ class RankDiffEntry:
     selected_b: bool | None
 
 
-@dataclass(frozen=True)
-class RankDiff:
-    """Join of two attribute-rank exports, largest rank movements first."""
-
-    rank_a: AttributeRank
-    rank_b: AttributeRank
-    entries: tuple[RankDiffEntry, ...]
-
-
-def rank_diff(path_a, path_b) -> RankDiff:
+def rank_diff(path_a, path_b) -> tuple[RankDiffEntry, ...]:
     """Diff two rank exports: per-attribute rank positions, scores, and deltas.
 
     Entries are sorted by absolute rank movement, descending; attributes
     present on only one side come last, marked absent on the other.
     """
-    rank_a = load_rank(path_a)
-    rank_b = load_rank(path_b)
 
     def positions(rank: AttributeRank):
         return {
@@ -348,8 +267,8 @@ def rank_diff(path_a, path_b) -> RankDiff:
             for pos, (name, score) in enumerate(rank.entries, start=1)
         }
 
-    in_a = positions(rank_a)
-    in_b = positions(rank_b)
+    in_a = positions(load_rank(path_a))
+    in_b = positions(load_rank(path_b))
     entries = []
     for name in dict.fromkeys(list(in_a) + list(in_b)):
         a = in_a.get(name)
@@ -369,10 +288,10 @@ def rank_diff(path_a, path_b) -> RankDiff:
     entries.sort(
         key=lambda e: (e.rank_delta is None, -abs(e.rank_delta or 0), e.attribute)
     )
-    return RankDiff(rank_a=rank_a, rank_b=rank_b, entries=tuple(entries))
+    return tuple(entries)
 
 
-def write_rank_diff_csv(diff: RankDiff, path) -> None:
+def write_rank_diff_csv(entries, path) -> None:
     """Export a rank diff as CSV; absent sides are left empty."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
@@ -381,7 +300,7 @@ def write_rank_diff_csv(diff: RankDiff, path) -> None:
             ["attribute", "rank_a", "rank_b", "score_a", "score_b",
              "rank_delta", "selected_a", "selected_b"]
         )
-        for e in diff.entries:
+        for e in entries:
             writer.writerow(
                 [
                     e.attribute,

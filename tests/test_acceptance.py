@@ -125,19 +125,17 @@ def test_criterion_3_reduction_formula_suite():
 
     for _ in range(200):  # weighted-centroid recombination at 1e-9
         d = _random_labeled(rng)
-        part = oc.partition_labels(d)
-        c_out = oc.compute_centroid(d, part.outlier_rows, "outlier")
-        c_in = oc.compute_centroid(d, part.inlier_rows, "inlier")
+        out_rows, in_rows = oc.partition_labels(d)
+        c_out = oc.compute_centroid(d, out_rows)
+        c_in = oc.compute_centroid(d, in_rows)
         c_all = oc.compute_centroid(d, range(d.n))
-        lhs = c_out.source_count * c_out.values + c_in.source_count * c_in.values
-        assert np.allclose(lhs, d.n * c_all.values, atol=1e-9)
+        lhs = len(out_rows) * c_out + len(in_rows) * c_in
+        assert np.allclose(lhs, d.n * c_all, atol=1e-9)
 
     for _ in range(200):  # score range on normalized data
         d = _random_labeled(rng)
-        part = oc.partition_labels(d)
         s = oc.distinguishability_scores(
-            oc.compute_centroid(d, part.outlier_rows, "outlier"),
-            oc.compute_centroid(d, part.inlier_rows, "inlier"),
+            *(oc.compute_centroid(d, rows) for rows in oc.partition_labels(d))
         )
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
 

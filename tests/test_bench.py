@@ -14,7 +14,7 @@ from outcentr.bench import (
     run_experiment,
 )
 from outcentr.cli import main
-from outcentr.data import Dataset
+from outcentr.data import Dataset, load_csv, normalize_minmax
 from outcentr.ranking import attribute_rank, export_rank, load_rank, rank_diff, write_rank_diff_csv
 from outcentr.synth import SynthSpec
 
@@ -292,27 +292,25 @@ class TestRankDiff:
     def test_identical_exports_have_zero_deltas(self, tmp_path):
         a = self.export(tmp_path, "a.csv", [0.9, 0.5, 0.1], ["x", "y", "z"])
         b = self.export(tmp_path, "b.csv", [0.9, 0.5, 0.1], ["x", "y", "z"])
-        diff = rank_diff(a, b)
-        assert all(e.rank_delta == 0 for e in diff.entries)
+        assert all(e.rank_delta == 0 for e in rank_diff(a, b))
 
     def test_rank_movement_delta(self, tmp_path):
         names = ["severity", "b", "c", "d", "e"]
         a = self.export(tmp_path, "a.csv", [0.5, 0.9, 0.7, 0.2, 0.1], names, t=3)
         # severity drops from rank 3 to rank 5
         b = self.export(tmp_path, "b.csv", [0.05, 0.9, 0.7, 0.2, 0.1], names, t=3)
-        diff = rank_diff(a, b)
-        entry = next(e for e in diff.entries if e.attribute == "severity")
+        entries = rank_diff(a, b)
+        entry = next(e for e in entries if e.attribute == "severity")
         assert entry.rank_a == 3 and entry.rank_b == 5
         assert entry.rank_delta == 2
         assert entry.selected_a and not entry.selected_b
         # sorted by movement, the mover comes first
-        assert diff.entries[0].attribute == "severity"
+        assert entries[0].attribute == "severity"
 
     def test_one_sided_attribute_is_marked_absent(self, tmp_path):
         a = self.export(tmp_path, "a.csv", [0.9, 0.5], ["x", "y"], t=1)
         b = self.export(tmp_path, "b.csv", [0.9, 0.5, 0.4], ["x", "authentication", "y"], t=2)
-        diff = rank_diff(a, b)
-        newcomer = next(e for e in diff.entries if e.attribute == "authentication")
+        newcomer = next(e for e in rank_diff(a, b) if e.attribute == "authentication")
         assert newcomer.rank_a is None and newcomer.rank_b == 2
         assert newcomer.rank_delta is None
         assert newcomer.selected_b is True
@@ -500,11 +498,19 @@ class TestCli:
         base = ["rank", "--data", str(out / "data.csv"), "--label", "label"]
         assert main(base + ["--out", str(rank_a)]) == 0
         assert main(base + ["--out", str(rank_b), "--label-budget", "0.5", "--seed", "9"]) == 0
-        scores_csv = tmp_path / "scores.csv"
-        assert main(base + ["--out", str(rank_a), "--scores-out", str(scores_csv)]) == 0
-        assert scores_csv.read_text().splitlines()[0] == (
-            "attribute,score_vs_outlier_centroid,score_vs_inlier_centroid"
-        )
+        data = normalize_minmax(load_csv(out / "data.csv", label_column="label"))
+        x, y = data.values, data.labels
+        centroids = x[y == 1].mean(axis=0), x[y == 0].mean(axis=0)
+        for flags, deviation in (([], lambda v: v), (["--absolute-deviation"], np.abs)):
+            scores_csv = tmp_path / "scores.csv"
+            assert main(base + ["--out", str(rank_a), "--scores-out", str(scores_csv), *flags]) == 0
+            lines = scores_csv.read_text().splitlines()
+            assert lines[0] == "attribute,score_vs_outlier_centroid,score_vs_inlier_centroid"
+            expected = [deviation(x - c).mean(axis=0) for c in centroids]
+            assert [line.split(",") for line in lines[1:]] == [
+                [name, repr(float(expected[0][j])), repr(float(expected[1][j]))]
+                for j, name in enumerate(data.attribute_names)
+            ]
         assert main(["rank-diff", str(rank_a), str(rank_b), "--out", str(tmp_path / "d.csv")]) == 0
         assert (tmp_path / "d.csv").exists()
 

@@ -42,13 +42,11 @@ def random_labeled(rng, n=None, m=None):
 class TestCentroid:
     def test_mean_of_two_rows(self):
         d = dataset([[0.0, 0.0], [1.0, 1.0]])
-        c = compute_centroid(d, [0, 1])
-        assert c.values.tolist() == [0.5, 0.5]
-        assert c.source_count == 2
+        assert compute_centroid(d, [0, 1]).tolist() == [0.5, 0.5]
 
     def test_single_row_is_identity(self):
         d = dataset([[0.2, 0.9]])
-        assert compute_centroid(d, [0]).values.tolist() == [0.2, 0.9]
+        assert compute_centroid(d, [0]).tolist() == [0.2, 0.9]
 
     def test_weighted_recombination(self):
         # 2 outlier rows at (0.8, 0.8) and 8 inlier rows at (0.1, 0.1):
@@ -56,12 +54,10 @@ class TestCentroid:
         rows = np.vstack([np.full((2, 2), 0.8), np.full((8, 2), 0.1)])
         d = dataset(rows, labels=np.r_[np.ones(2, dtype=int), np.zeros(8, dtype=int)])
         full = compute_centroid(d, range(10))
-        assert np.allclose(full.values, [0.24, 0.24])
-        part = partition_labels(d)
-        c_out = compute_centroid(d, part.outlier_rows, "outlier")
-        c_in = compute_centroid(d, part.inlier_rows, "inlier")
-        recombined = (2 * c_out.values + 8 * c_in.values) / 10
-        assert np.allclose(recombined, full.values, atol=1e-12)
+        assert np.allclose(full, [0.24, 0.24])
+        out_rows, in_rows = partition_labels(d)
+        recombined = (2 * compute_centroid(d, out_rows) + 8 * compute_centroid(d, in_rows)) / 10
+        assert np.allclose(recombined, full, atol=1e-12)
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError, match="zero rows"):
@@ -71,19 +67,29 @@ class TestCentroid:
         rng = np.random.default_rng(21)
         for _ in range(200):
             d = random_labeled(rng)
-            part = partition_labels(d)
-            c_out = compute_centroid(d, part.outlier_rows, "outlier")
-            c_in = compute_centroid(d, part.inlier_rows, "inlier")
+            out_rows, in_rows = partition_labels(d)
+            c_out = compute_centroid(d, out_rows)
+            c_in = compute_centroid(d, in_rows)
             c_all = compute_centroid(d, range(d.n))
-            lhs = c_out.source_count * c_out.values + c_in.source_count * c_in.values
-            assert np.allclose(lhs, d.n * c_all.values, atol=1e-9)
+            lhs = len(out_rows) * c_out + len(in_rows) * c_in
+            assert np.allclose(lhs, d.n * c_all, atol=1e-9)
+
+    def test_partition_returns_two_index_arrays(self):
+        d = dataset([[0.1], [0.2], [0.3], [0.4]], labels=np.array([0, 1, 0, 0]))
+        out_rows, in_rows = partition_labels(d)
+        assert out_rows.dtype == in_rows.dtype == np.int64
+        assert out_rows.tolist() == [1] and in_rows.tolist() == [0, 2, 3]
+
+    def test_partition_requires_labels_and_warns_on_majority_outliers(self):
+        with pytest.raises(DataError, match="no labels"):
+            partition_labels(dataset([[0.1]]))
+        with pytest.warns(UserWarning, match="not smaller"):
+            partition_labels(dataset([[0.1], [0.2]], labels=np.array([1, 0])))
 
 
 class TestDistinguishability:
     def centroids(self, out_vals, in_vals):
-        c_out = compute_centroid(dataset([out_vals]), [0], "outlier")
-        c_in = compute_centroid(dataset([in_vals]), [0], "inlier")
-        return c_out, c_in
+        return compute_centroid(dataset([out_vals]), [0]), compute_centroid(dataset([in_vals]), [0])
 
     def test_absolute_gap(self):
         s = distinguishability_scores(*self.centroids([0.9, 0.2], [0.1, 0.2]))
@@ -97,11 +103,9 @@ class TestDistinguishability:
         s = distinguishability_scores(*self.centroids([0.0, 1.0], [1.0, 0.0]))
         assert s.tolist() == [1.0, 1.0]
 
-    def test_tag_and_length_checks(self):
-        c_out, c_in = self.centroids([0.1], [0.2])
-        with pytest.raises(ValueError, match="expected"):
-            distinguishability_scores(c_in, c_out)
-        c_in3 = compute_centroid(dataset([[0.1, 0.2, 0.3]]), [0], "inlier")
+    def test_length_check(self):
+        c_out, _ = self.centroids([0.1], [0.2])
+        c_in3 = compute_centroid(dataset([[0.1, 0.2, 0.3]]), [0])
         with pytest.raises(ValueError, match="lengths differ"):
             distinguishability_scores(c_out, c_in3)
 
@@ -109,10 +113,8 @@ class TestDistinguishability:
         rng = np.random.default_rng(3)
         for _ in range(200):
             d = random_labeled(rng)
-            part = partition_labels(d)
             s = distinguishability_scores(
-                compute_centroid(d, part.outlier_rows, "outlier"),
-                compute_centroid(d, part.inlier_rows, "inlier"),
+                *(compute_centroid(d, rows) for rows in partition_labels(d))
             )
             assert np.all(s >= 0.0) and np.all(s <= 1.0)
 
@@ -155,26 +157,29 @@ class TestAttributeScores:
     def test_deviations_about_own_centroid_cancel(self):
         d = dataset([[0.2], [0.4]])
         c = compute_centroid(d, [0, 1])
-        assert attribute_scores(d, [0, 1], c).values[0] == pytest.approx(0.0)
+        assert attribute_scores(d, [0, 1], c)[0] == pytest.approx(0.0)
 
     def test_signed_mean_against_other_class(self):
         d = dataset([[0.9], [0.7]])
-        c = compute_centroid(dataset([[0.2]]), [0], "inlier")
-        report = attribute_scores(d, [0, 1], c)
-        assert report.values[0] == pytest.approx(0.6)
-        assert report.class_tag == "inlier"
+        c = compute_centroid(dataset([[0.2]]), [0])
+        assert attribute_scores(d, [0, 1], c)[0] == pytest.approx(0.6)
 
     def test_single_row_equal_to_centroid(self):
         d = dataset([[0.3, 0.6]])
         c = compute_centroid(d, [0])
-        assert np.allclose(attribute_scores(d, [0], c).values, 0.0)
+        assert np.allclose(attribute_scores(d, [0], c), 0.0)
 
     def test_absolute_variant(self):
         d = dataset([[0.2], [0.4]])
         c = compute_centroid(d, [0, 1])
-        report = attribute_scores(d, [0, 1], c, absolute=True)
-        assert report.values[0] == pytest.approx(0.1)
-        assert report.absolute
+        assert attribute_scores(d, [0, 1], c, absolute=True)[0] == pytest.approx(0.1)
+
+    def test_empty_rows_and_length_checks(self):
+        d = dataset([[0.2, 0.4]])
+        with pytest.raises(ValueError, match="empty row set"):
+            attribute_scores(d, [], compute_centroid(d, [0]))
+        with pytest.raises(ValueError, match="does not match m=2"):
+            attribute_scores(d, [0], np.array([0.2]))
 
 
 class TestFitReducer:
@@ -188,6 +193,20 @@ class TestFitReducer:
     def test_cutoff_fractions(self):
         assert top_t(286, 0.10) == 28
         assert top_t(5, 0.10) == 1
+
+    def test_matches_the_paper_formula_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            d = random_labeled(rng)
+            t_fraction = float(rng.uniform(0.05, 1.0))
+            x, y = d.values, d.labels
+            gap = np.abs(x[y == 1].mean(axis=0) - x[y == 0].mean(axis=0))
+            rank = fit_reducer(d, ratio=1.0, t_fraction=t_fraction)
+            names = d.attribute_names
+            assert rank.entries == tuple(
+                (names[j], float(gap[j])) for j in np.argsort(-gap, kind="stable")
+            )
+            assert rank.t == top_t(d.m, t_fraction)
 
     def test_signal_attribute_ranks_first(self):
         d = self.two_class(np.random.default_rng(0))
@@ -336,6 +355,16 @@ def test_load_rank_rejects_selected_flags_that_are_not_a_prefix(tmp_path, flags,
         lines.append(f"{i + 1},{name},{0.9 - 0.1 * i!r},{flag}")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=message):
+        load_rank(path)
+
+
+def test_load_rank_rejects_a_duplicated_attribute(tmp_path):
+    path = tmp_path / "rank.csv"
+    path.write_text(
+        "rank,attribute,distinguishability_score,selected\n"
+        "1,a,0.9,1\n2,a,0.5,0\n3,b,0.1,0\n"
+    )
+    with pytest.raises(DataError, match=r"rank\.csv: row 3: attribute 'a' already ranked on row 2"):
         load_rank(path)
 
 

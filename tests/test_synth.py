@@ -63,10 +63,8 @@ class TestGenerate:
     def gaps(self, spec):
         data, informative = generate(spec)
         normalized = normalize_minmax(data)
-        part = partition_labels(normalized)
         scores = distinguishability_scores(
-            compute_centroid(normalized, part.outlier_rows, "outlier"),
-            compute_centroid(normalized, part.inlier_rows, "inlier"),
+            *(compute_centroid(normalized, rows) for rows in partition_labels(normalized))
         )
         mask = np.zeros(spec.m, dtype=bool)
         mask[list(informative)] = True
