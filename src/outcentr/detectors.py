@@ -17,7 +17,11 @@ and checked on the node's rows; only nodes whose draws keep landing on
 constant attributes get a full-width scan. One generator per fit makes
 the draws in a fixed level order. Scoring walks every (row, tree) pair of
 a row block one level per step, so memory is bounded by the block, not by
-rows x trees.
+rows x trees. Each level is seven numpy calls into buffers allocated before
+the walk. The rows are split evenly among min(usable CPUs, blocks,
+_MAX_WALK_THREADS) threads: the calling thread and a pool that lives only
+for the call, so no thread is started on one CPU and none outlives a walk
+into a forked child. Scores do not depend on the thread count.
 
 LOF neighborhoods are exact, distance ties included, under the metric the
 detector config names. LOF runs on the distinct training rows, each a point
@@ -38,6 +42,7 @@ block. Neighbor lists are stored flat (CSR) and reduced with
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -59,6 +64,9 @@ _PAIR_TILE_CELLS = 1 << 16
 # (row, tree) pairs an isolation-forest scoring block walks at once (~512 KB
 # per array; 4x more ran about 1.5x slower, out of cache)
 _PATH_BLOCK_PAIRS = 1 << 16
+# threads that walk isolation-forest blocks at once, at most: each holds one
+# block's buffers (~2 MB), so this bounds the walk's memory on many-core hosts
+_MAX_WALK_THREADS = 8
 # draws of one attribute per isolation-tree node before all columns are scanned
 _ATTRIBUTE_DRAWS = 4
 
@@ -146,6 +154,13 @@ def average_path_length(size: float) -> float:
     return 2.0 * (math.log(size - 1.0) + _EULER_GAMMA) - 2.0 * (size - 1.0) / size
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _height_limit(subsample_size: int) -> int:
     """Tree height limit ceil(log2(subsample_size)), at least 1."""
     return max(1, math.ceil(math.log2(subsample_size)))
@@ -182,22 +197,75 @@ class _PackedForest:
         all; a leaf steps to itself (cut +inf), so a pair that has reached
         its leaf stays there. Each row's sum runs over its own trees only, so
         the block size changes no result.
+
+        The rows are split into W contiguous ranges of n/W rows (rounded),
+        W = min(usable CPUs, number of blocks, _MAX_WALK_THREADS), and each
+        range is walked in blocks as above. The calling thread walks the
+        first range and a thread pool made for this call walks the rest;
+        with W = 1 no thread is started. The calling thread allocates every
+        range's buffers before any thread starts, and the walk itself
+        allocates nothing of a block's size, which keeps the worker threads'
+        malloc arenas small. Ranges write disjoint rows of the output, and the
+        thread count changes no result. No pool outlives the call, so a
+        process forked afterwards inherits no thread.
         """
         internal = self.feature >= 0
         feature = np.where(internal, self.feature, 0)
         cut = np.where(internal, self.cut, np.inf)
         child = np.where(internal, self.left, np.arange(internal.size))
-        n_trees, m = self.roots.size, x.shape[1]
+        flat_x = np.ascontiguousarray(x, dtype=float).ravel()
+        n, m = x.shape
+        n_trees = self.roots.size
         per = max(1, _PATH_BLOCK_PAIRS // n_trees)
-        out = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], per):
-            block = np.ascontiguousarray(x[start : start + per]).ravel()
-            offset = np.arange(0, block.size, m)[:, None]
-            node = np.broadcast_to(self.roots, (offset.shape[0], n_trees))
-            for _ in range(_height_limit(self.subsample_size)):
-                node = child[node] + (block[offset + feature[node]] > cut[node])
-            out[start : start + per] = self.leaf_value[node].sum(axis=1)
-        return out / n_trees
+        workers = max(1, min(_usable_cpus(), -(-n // per), _MAX_WALK_THREADS))
+        bounds = np.arange(workers + 1) * n // workers
+        # the rows of the longest block: no range is longer than ceil(n / workers)
+        offset = np.arange(0, min(per, -(-n // workers)) * m, m)[:, None]
+        height = _height_limit(self.subsample_size)
+        out = np.empty(n)
+
+        def walk(first, stop, buffers):
+            for start in range(first, stop, per):
+                rows = min(per, stop - start)
+                node, index, value, cut_at, right = (b[:rows] for b in buffers)
+                block_offset = offset[:rows]
+                block_x = flat_x[start * m :]  # a view: the block's rows start here
+                node[...] = self.roots
+                # mode="clip" writes straight into out= (mode="raise" buffers
+                # it). No index is ever clipped: node ids are below the node
+                # count, and every flat index is below rows * m <= block_x.size.
+                for _ in range(height):
+                    np.take(feature, node, out=index, mode="clip")
+                    index += block_offset
+                    np.take(block_x, index, out=value, mode="clip")
+                    np.take(cut, node, out=cut_at, mode="clip")
+                    np.greater(value, cut_at, out=right)
+                    np.take(child, node, out=index, mode="clip")
+                    np.add(index, right, out=node)
+                np.take(self.leaf_value, node, out=value, mode="clip")
+                np.sum(value, axis=1, out=out[start : start + rows])
+
+        shape = (offset.shape[0], n_trees)
+        buffers = [
+            tuple(np.empty(shape, dtype) for dtype in (np.intp, np.intp, float, float, bool))
+            for _ in range(workers)
+        ]
+        if workers == 1:
+            walk(0, n, buffers[0])
+        else:
+            # imported here, not at the top: it adds about 10 ms to importing outcentr
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(workers - 1) as pool:
+                futures = [
+                    pool.submit(walk, bounds[i], bounds[i + 1], buffers[i])
+                    for i in range(1, workers)
+                ]
+                walk(bounds[0], bounds[1], buffers[0])
+                for future in futures:
+                    future.result()
+        out /= n_trees
+        return out
 
     def score_samples(self, x: np.ndarray) -> np.ndarray:
         """Anomaly score 2^(-E[h(x)] / c(subsample_size)), strictly in (0, 1)."""
@@ -338,7 +406,10 @@ def iforest_fit(train: Dataset, cfg: DetectorConfig) -> IsolationForestModel:
     or single-point (or all-duplicate) nodes. All trees grow together, level
     by level (_grow_forest), into flat node arrays. Scoring walks the
     (row, tree) pairs of a block of about _PATH_BLOCK_PAIRS pairs one level
-    per step, so memory does not grow with rows x trees. The
+    per step, so memory does not grow with rows x trees; the rows are
+    split among min(usable CPUs, blocks, _MAX_WALK_THREADS) threads, each
+    walking buffers the calling thread allocated (see
+    _PackedForest.path_lengths). The
     (1 - contamination) quantile of the training scores is stored as the
     flagging threshold for held-out data.
 
@@ -347,7 +418,7 @@ def iforest_fit(train: Dataset, cfg: DetectorConfig) -> IsolationForestModel:
     level, the attribute draws of that level's nodes (each round of draws in
     node order, then the picks of the fully scanned nodes) and their cuts,
     in node order. Results depend only on (data, config, seed); no block
-    size changes them.
+    size or thread count changes them.
     """
     if cfg.kind != "iforest":
         raise DataError(f"config is for {cfg.kind!r}, not iforest")

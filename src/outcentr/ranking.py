@@ -47,6 +47,13 @@ class AttributeRank:
         scores = [s for _, s in entries]
         if any(a < b for a, b in zip(scores, scores[1:])):
             raise ValueError("entries must be sorted by non-increasing score")
+        first_rank = {}
+        for rank, (name, _) in enumerate(entries, start=1):
+            if name in first_rank:
+                raise DataError(
+                    f"attribute {name!r} ranked twice: at rank {first_rank[name]} and {rank}"
+                )
+            first_rank[name] = rank
         object.__setattr__(self, "entries", entries)
 
     @property

@@ -1,5 +1,10 @@
 import itertools
 import math
+import os
+import signal
+import time
+import tracemalloc
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -28,6 +33,23 @@ def dataset(values, labels=None):
     values = np.asarray(values, dtype=float)
     names = tuple(f"a{j + 1}" for j in range(values.shape[1]))
     return Dataset(values=values, attribute_names=names, labels=labels)
+
+
+def whole_array_walk(forest, x):
+    """Mean path lengths from one walk of all (row, tree) pairs, with new arrays per level.
+
+    This is the block walk without blocks, threads or kept buffers: the same
+    integer steps, and each row summed over its trees by one numpy sum.
+    """
+    internal = forest.feature >= 0
+    feature = np.where(internal, forest.feature, 0)
+    cut = np.where(internal, forest.cut, np.inf)
+    child = np.where(internal, forest.left, np.arange(internal.size))
+    node = np.broadcast_to(forest.roots, (x.shape[0], forest.roots.size))
+    rows = np.arange(x.shape[0])[:, None]
+    for _ in range(detectors._height_limit(forest.subsample_size)):
+        node = child[node] + (x[rows, feature[node]] > cut[node])
+    return forest.leaf_value[node].sum(axis=1) / forest.roots.size
 
 
 def iforest_cfg(**kw):
@@ -277,13 +299,79 @@ class TestIsolationForest:
         rng = np.random.default_rng(22)
         x = rng.normal(size=(500, 30))
         x[:, 5:] = 0.0  # constant columns send many nodes to the full scan
+        query = rng.normal(size=(301, 30)) * 2
         cfg = iforest_cfg(n_trees=20, seed=8)
+        monkeypatch.setattr(detectors, "_usable_cpus", lambda: 1)
         expected = iforest_fit(dataset(x), cfg)
+        expected_query = expected.path_lengths(query)
+        assert np.array_equal(expected_query, whole_array_walk(expected, query))
+        assert np.array_equal(expected.train_scores, expected.score_samples(x))
+        # blocks of 3 rows: each thread's range of rows ends in a short block or a full one
         monkeypatch.setattr(detectors, "_BLOCK_CELLS", 7)
         monkeypatch.setattr(detectors, "_PATH_BLOCK_PAIRS", 3 * 20 + 1)
-        model = iforest_fit(dataset(x), cfg)
-        for name in ("feature", "cut", "left", "right", "leaf_value", "train_scores"):
-            assert np.array_equal(getattr(model, name), getattr(expected, name)), name
+        pools = []
+
+        class RecordingPool(futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                super().__init__(workers)
+                pools.append(workers)
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
+        for cpus, pool_threads in ((1, []), (3, [2, 2])):
+            monkeypatch.setattr(detectors, "_usable_cpus", lambda: cpus)
+            pools.clear()
+            model = iforest_fit(dataset(x), cfg)
+            query_lengths = model.path_lengths(query)
+            assert pools == pool_threads, cpus
+            for name in ("feature", "cut", "left", "right", "leaf_value", "train_scores"):
+                assert np.array_equal(getattr(model, name), getattr(expected, name)), name
+            assert model.threshold == expected.threshold
+            assert np.array_equal(query_lengths, expected_query)
+            # clip mode would hide an off-by-one flat offset instead of raising
+            assert np.allclose(
+                query_lengths, isolation_path_lengths(model, query), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_scores_after_pooled_fit(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        d = dataset(rng.normal(size=(3000, 8)))
+        monkeypatch.setattr(detectors, "_usable_cpus", lambda: 2)
+        model = iforest_fit(d, iforest_cfg(n_trees=50, seed=2))  # walks 3 blocks on 2 threads
+        expected = iforest_score(model, d).scores
+        pid = os.fork()
+        if pid == 0:  # child: score again on two threads, then leave without pytest's teardown
+            status = 3
+            try:
+                signal.alarm(10)
+                status = 0 if np.array_equal(iforest_score(model, d).scores, expected) else 1
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 30
+        while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if waited[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child did not finish scoring within 30 s")
+        assert os.waitstatus_to_exitcode(waited[1]) == 0
+
+    def test_walk_allocates_only_its_block_buffers(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(16000, 53))
+        model = iforest_fit(dataset(x[:512]), iforest_cfg(n_trees=100, seed=5))
+        workers = 3
+        monkeypatch.setattr(detectors, "_usable_cpus", lambda: workers)
+        rows = detectors._PATH_BLOCK_PAIRS // 100
+        block_buffers = rows * 100 * (8 + 8 + 8 + 8 + 1)  # node, index, value, cut_at, right
+        tracemalloc.start()
+        try:
+            lengths = model.path_lengths(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(lengths, whole_array_walk(model, x))
+        assert peak <= (workers + 1) * block_buffers + x.shape[0] * 8 + (64 << 10)
 
     def test_average_path_length_values(self):
         assert average_path_length(1) == 0.0

@@ -368,6 +368,12 @@ def test_load_rank_rejects_a_duplicated_attribute(tmp_path):
         load_rank(path)
 
 
+def test_a_rank_rejects_a_repeated_attribute(tmp_path):
+    # such a rank could be exported, and load_rank would then refuse the file
+    with pytest.raises(DataError, match=r"attribute 'a' ranked twice: at rank 1 and 2"):
+        attribute_rank([0.5, 0.4, 0.1], ["a", "a", "b"], t=1)
+
+
 @pytest.mark.parametrize("score", ["x", "", "nan", "inf", "-inf"])
 def test_load_rank_rejects_scores_that_are_not_finite_numbers(tmp_path, score):
     path = tmp_path / "rank.csv"
