@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -189,32 +188,80 @@ def load_csv(
     from the attributes and stored as binary labels; its tokens must match
     the positive/negative tokens or the literals 1/0.
 
-    A clean file is read by numpy's C text reader. Any other file is read
-    row by row with ``csv.reader``, which gives the same Dataset and raises
-    every error; see :func:`_load_clean_csv` for which files are clean.
+    Two readers split the file into its header and columns: numpy's C text
+    reader takes a clean file (:func:`_load_clean_csv`) and ``csv.reader``,
+    row by row, any other (:func:`_load_csv_rows`). A reader raises only a
+    layout error. The rules above then build the Dataset once, checked in
+    this order: distinct header names, the label column present, the
+    labels, each attribute column, finite values. So the Dataset and every
+    other error are the same whichever reader split the file.
     """
-    args = (existing_file(path), label_column, positive_token, negative_token)
-    return _load_clean_csv(*args) or _load_csv_rows(*args)
+    path = existing_file(path)
+    header, columns = _load_clean_csv(path, label_column) or _load_csv_rows(path)
+    if len(set(header)) != len(header):
+        raise DataError("duplicate column names in header")
+    labels = None
+    if label_column is not None:
+        if label_column not in header:
+            raise DataError(f"label column {label_column!r} not in header")
+        labels = _parse_labels(columns[header.index(label_column)], positive_token, negative_token)
+    names = [name for name in header if name != label_column]
+    values = np.empty((len(columns[0]) if columns else 0, len(names)))
+    encodings = []
+    for j, name in enumerate(names):
+        values[:, j], levels = _column_values(columns[header.index(name)], name)
+        if levels is not None:
+            encodings.append((name, levels))
+    del columns  # every cell and the parsed table: free them before Dataset copies the matrix
+    return Dataset(
+        values=values,
+        attribute_names=tuple(names),
+        labels=labels,
+        categorical_levels=tuple(encodings),
+    )
 
 
-def _load_clean_csv(path, label_column, positive_token, negative_token) -> Dataset | None:
-    """:func:`load_csv`'s Dataset read by ``np.loadtxt``, or None when in doubt.
+def _column_values(column, name: str):
+    """An attribute column as floats, and its levels when it is ordinal-encoded (else None).
+
+    A float64 array the clean reader parsed is taken as it is; a column of
+    raw cells goes through the numeric-or-categorical rule of :func:`load_csv`.
+    """
+    if isinstance(column, np.ndarray):
+        return column, None
+    try:
+        # float() skips the whitespace strip() removes, U+001C-U+001F aside,
+        # so a clean numeric column is parsed without stripping its cells
+        return np.fromiter(map(float, column), dtype=np.float64, count=len(column)), None
+    except ValueError:
+        pass
+    column = list(map(str.strip, column))
+    if "" in column:
+        raise DataError(f"missing value in column {name!r}, row {column.index('') + 1}")
+    try:
+        return np.fromiter(map(float, column), dtype=np.float64, count=len(column)), None
+    except ValueError:
+        return encode_categoricals(column)
+
+
+def _load_clean_csv(path, label_column) -> tuple[list[str], list] | None:
+    """:func:`load_csv`'s header and columns read by ``np.loadtxt``, or None when in doubt.
 
     Given the open handle (a path would turn a quoted CRLF into LF),
     ``np.loadtxt`` splits and unquotes fields as ``csv.reader`` does. But it
     skips blank lines, reads the NUL that ``csv.reader`` rejects before
     Python 3.11, and counts ``skiprows`` in lines, not records. So a file with
-    a blank line or a NUL, a header on more than one line, no data row, a
-    first row of another width or a duplicate column name is left to the
-    row-wise reader. One read with a structured dtype types each column by
-    its first row: float64 where that cell, stripped, parses with ``float()``,
-    else str objects, as for the label column. Without ``usecols`` every row
+    a blank line or a NUL, a header on more than one line, no data row or a
+    first row of another width is left to the row-wise reader. One read with
+    a structured dtype types each column by its first row: a float64 array
+    where that cell, stripped, parses with ``float()``, else a list of the
+    raw str cells, as for the label column. Without ``usecols`` every row
     must have the header's width. A ValueError (undecodable text, a number
-    ``np.loadtxt`` rejects, a row of another width, a bad label, a non-finite
-    value) or an empty text cell also returns None: the row-wise reader then
-    names the fault, or reads the numbers that only ``float()`` accepts. So
-    does a file where a field may be longer than ``csv.field_size_limit()``,
-    which ``np.loadtxt`` does not enforce.
+    ``np.loadtxt`` rejects, an empty numeric cell, a row of another width)
+    also returns None: the row-wise reader then names the layout fault, or
+    reads the cells as text for the column rules. So does a file where a
+    field may be longer than ``csv.field_size_limit()``, which ``np.loadtxt``
+    does not enforce. Every other fault is left to :func:`load_csv`'s rules.
     """
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -227,7 +274,7 @@ def _load_clean_csv(path, label_column, positive_token, negative_token) -> Datas
             reader = csv.reader(fh)
             header = [h.strip() for h in next(reader)]
             first = next(reader, None) if reader.line_num == 1 else None
-            if first is None or len(first) != len(header) or len(set(header)) != len(header):
+            if first is None or len(first) != len(header):
                 return None
             numeric = [h != label_column and _is_number(c.strip()) for h, c in zip(header, first)]
             fh.seek(0)
@@ -249,37 +296,19 @@ def _load_clean_csv(path, label_column, positive_token, negative_token) -> Datas
             span = len(ends) - 1 - len(table)
             if (ends[span:] - ends[:-span]).max() > csv.field_size_limit():
                 return None
-        labels = None
-        if label_column is not None:
-            labels = _parse_labels(
-                table[str(header.index(label_column))].tolist(), positive_token, negative_token
-            )
-        names = [name for name in header if name != label_column]
-        values = np.empty((len(table), len(names)), dtype=np.float64)
-        encodings = []
-        for j, name in enumerate(names):
-            field = str(header.index(name))
-            if table.dtype[field] == object:
-                column = list(map(str.strip, table[field].tolist()))
-                if "" in column:
-                    return None
-                values[:, j], levels = encode_categoricals(column)
-                encodings.append((name, levels))
-            else:
-                values[:, j] = table[field]
-        del table  # every text cell's string: free them before Dataset copies the matrix
-        return Dataset(
-            values=values,
-            attribute_names=tuple(names),
-            labels=labels,
-            categorical_levels=tuple(encodings),
-        )
     except ValueError:
         return None
+    return header, [
+        table[str(j)] if num else table[str(j)].tolist() for j, num in enumerate(numeric)
+    ]
 
 
-def _load_csv_rows(path, label_column, positive_token, negative_token) -> Dataset:
-    """:func:`load_csv` with ``csv.reader``, row by row: the reader of any file and every error."""
+def _load_csv_rows(path) -> tuple[list[str], list]:
+    """:func:`load_csv`'s header and columns read row by row with ``csv.reader``, from any file.
+
+    Raises the layout errors: an empty file, a row of another width than the
+    header, and ``csv.Error``. Each column is a tuple of raw str cells.
+    """
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -294,44 +323,7 @@ def _load_csv_rows(path, label_column, positive_token, negative_token) -> Datase
                     f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
             rows.append(row)
-    if len(set(header)) != len(header):
-        raise DataError("duplicate column names in header")
-
-    n = len(rows)
-    labels = None
-    if label_column is not None:
-        if label_column not in header:
-            raise DataError(f"label column {label_column!r} not in header")
-        labels = _parse_labels(
-            list(map(itemgetter(header.index(label_column)), rows)), positive_token, negative_token
-        )
-
-    names = [name for name in header if name != label_column]
-    values = np.empty((n, len(names)), dtype=np.float64)
-    encodings = []
-    for j, name in enumerate(names):
-        cell_of = itemgetter(header.index(name))
-        try:
-            # float() skips the whitespace strip() removes, U+001C-U+001F aside,
-            # so a clean numeric column is parsed without stripping its cells
-            values[:, j] = np.fromiter(map(float, map(cell_of, rows)), dtype=np.float64, count=n)
-        except ValueError:
-            column = list(map(str.strip, map(cell_of, rows)))
-            if "" in column:
-                raise DataError(f"missing value in column {name!r}, row {column.index('') + 1}")
-            try:
-                values[:, j] = np.fromiter(map(float, column), dtype=np.float64, count=n)
-            except ValueError:
-                values[:, j], levels = encode_categoricals(column)
-                encodings.append((name, levels))
-
-    del rows  # every cell's string: free them before Dataset copies the matrix
-    return Dataset(
-        values=values,
-        attribute_names=tuple(names),
-        labels=labels,
-        categorical_levels=tuple(encodings),
-    )
+    return header, list(zip(*rows)) or [()] * len(header)
 
 
 def write_csv(d: Dataset, path, label_column: str = "label") -> None:

@@ -171,22 +171,22 @@ class _PackedForest:
     """Every tree of an isolation forest in one set of flat node arrays.
 
     Nodes are numbered level by level across all trees, so tree t's root is
-    node ``roots[t]``. An internal node sends a row to ``left`` when the
-    row's ``feature`` value is <= ``cut`` and to ``right`` (== left + 1)
-    otherwise. A leaf has feature, left and right -1, and its ``leaf_value``
-    is its depth + c(number of subsample rows it holds).
+    node ``roots[t]``. An internal node sends a row to ``child`` when the
+    row's ``feature`` value is <= ``cut`` and to ``child + 1`` otherwise. A
+    leaf is its own child, with ``cut`` +inf and ``feature`` 0, so the walk
+    needs no leaf test: a row that reaches a leaf steps to it again. A
+    leaf's ``leaf_value`` is its depth + c(number of subsample rows it holds).
     """
 
     feature: np.ndarray
     cut: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    child: np.ndarray
     leaf_value: np.ndarray
     roots: np.ndarray
     subsample_size: int
 
     def __post_init__(self):
-        freeze_fields(self, "feature", "cut", "left", "right", "leaf_value", "roots", dtype=None)
+        freeze_fields(self, "feature", "cut", "child", "leaf_value", "roots", dtype=None)
 
     def path_lengths(self, x: np.ndarray) -> np.ndarray:
         """Mean path length E[h(row)] over the trees, for every row of x.
@@ -194,9 +194,8 @@ class _PackedForest:
         Rows are taken in blocks of about _PATH_BLOCK_PAIRS (row, tree)
         pairs, so no array spans all rows and trees at once. Every pair of a
         block steps down one level per iteration, height-limit iterations in
-        all; a leaf steps to itself (cut +inf), so a pair that has reached
-        its leaf stays there. Each row's sum runs over its own trees only, so
-        the block size changes no result.
+        all; a pair that has reached its leaf steps to it again. Each row's
+        sum runs over its own trees only, so the block size changes no result.
 
         The rows are split into W contiguous ranges of n/W rows (rounded),
         W = min(usable CPUs, number of blocks, _MAX_WALK_THREADS), and each
@@ -209,10 +208,6 @@ class _PackedForest:
         thread count changes no result. No pool outlives the call, so a
         process forked afterwards inherits no thread.
         """
-        internal = self.feature >= 0
-        feature = np.where(internal, self.feature, 0)
-        cut = np.where(internal, self.cut, np.inf)
-        child = np.where(internal, self.left, np.arange(internal.size))
         flat_x = np.ascontiguousarray(x, dtype=float).ravel()
         n, m = x.shape
         n_trees = self.roots.size
@@ -235,12 +230,12 @@ class _PackedForest:
                 # it). No index is ever clipped: node ids are below the node
                 # count, and every flat index is below rows * m <= block_x.size.
                 for _ in range(height):
-                    np.take(feature, node, out=index, mode="clip")
+                    np.take(self.feature, node, out=index, mode="clip")
                     index += block_offset
                     np.take(block_x, index, out=value, mode="clip")
-                    np.take(cut, node, out=cut_at, mode="clip")
+                    np.take(self.cut, node, out=cut_at, mode="clip")
                     np.greater(value, cut_at, out=right)
-                    np.take(child, node, out=index, mode="clip")
+                    np.take(self.child, node, out=index, mode="clip")
                     np.add(index, right, out=node)
                 np.take(self.leaf_value, node, out=value, mode="clip")
                 np.sum(value, axis=1, out=out[start : start + rows])
@@ -372,9 +367,9 @@ def _grow_forest(x: np.ndarray, samples: np.ndarray, rng: np.random.Generator) -
             feature[live] = _draw_attributes(x, rows[np.repeat(live, counts)], counts[live], rng)
         split = feature >= 0
         n_split = int(split.sum())
-        cut = np.zeros(counts.size)
-        left = np.full(counts.size, -1)
-        left[split] = first + counts.size + 2 * np.arange(n_split)
+        cut = np.full(counts.size, np.inf)
+        child = np.arange(first, first + counts.size)
+        child[split] = first + counts.size + 2 * np.arange(n_split)
         leaf_value = np.where(split, 0.0, depth + leaf_credit[counts])
         if n_split:
             rows, counts = rows[np.repeat(split, counts)], counts[split]
@@ -388,12 +383,12 @@ def _grow_forest(x: np.ndarray, samples: np.ndarray, rng: np.random.Generator) -
             rows = rows[np.argsort(2 * node + goes_right, kind="stable")]
             n_right = np.bincount(node[goes_right], minlength=n_split)
             counts = np.column_stack([counts - n_right, n_right]).ravel()
-        levels.append((feature, cut, left, np.where(split, left + 1, -1), leaf_value))
+        levels.append((np.maximum(feature, 0), cut, child, leaf_value))
         first += split.size
         if not n_split:
             break
-    feature, cut, left, right, leaf_value = (np.concatenate(a) for a in zip(*levels))
-    return _PackedForest(feature, cut, left, right, leaf_value, np.arange(n_trees), psi)
+    feature, cut, child, leaf_value = (np.concatenate(a) for a in zip(*levels))
+    return _PackedForest(feature, cut, child, leaf_value, np.arange(n_trees), psi)
 
 
 def iforest_fit(train: Dataset, cfg: DetectorConfig) -> IsolationForestModel:

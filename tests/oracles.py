@@ -81,16 +81,17 @@ def brute_force_lof(x, k, metric="euclidean", query=None):
     return np.array(query_lof)
 
 
-def isolation_tree_path(feature, cut, left, right, root, point):
+def isolation_tree_path(feature, cut, child, root, point):
     """Nodes that ``point`` visits in one isolation tree, from ``root`` to its leaf.
 
-    A node whose feature is negative is a leaf; at any other node the point
-    goes left when its value of that feature is <= the node's cut.
+    A node that is its own child is a leaf; at any other node the point goes
+    to ``child`` when its value of that feature is <= the node's cut, and to
+    ``child + 1`` otherwise.
     """
     path = [int(root)]
-    while feature[path[-1]] >= 0:
+    while child[path[-1]] != path[-1]:
         node = path[-1]
-        path.append(int(left[node] if point[feature[node]] <= cut[node] else right[node]))
+        path.append(int(child[node] if point[feature[node]] <= cut[node] else child[node] + 1))
     return path
 
 
@@ -100,9 +101,7 @@ def isolation_path_lengths(forest, x):
     for point in np.asarray(x, dtype=float):
         total = 0.0
         for root in forest.roots:
-            leaf = isolation_tree_path(
-                forest.feature, forest.cut, forest.left, forest.right, root, point
-            )[-1]
+            leaf = isolation_tree_path(forest.feature, forest.cut, forest.child, root, point)[-1]
             total += forest.leaf_value[leaf]
         lengths.append(total / len(forest.roots))
     return np.array(lengths)

@@ -41,14 +41,10 @@ def whole_array_walk(forest, x):
     This is the block walk without blocks, threads or kept buffers: the same
     integer steps, and each row summed over its trees by one numpy sum.
     """
-    internal = forest.feature >= 0
-    feature = np.where(internal, forest.feature, 0)
-    cut = np.where(internal, forest.cut, np.inf)
-    child = np.where(internal, forest.left, np.arange(internal.size))
     node = np.broadcast_to(forest.roots, (x.shape[0], forest.roots.size))
     rows = np.arange(x.shape[0])[:, None]
     for _ in range(detectors._height_limit(forest.subsample_size)):
-        node = child[node] + (x[rows, feature[node]] > cut[node])
+        node = forest.child[node] + (x[rows, forest.feature[node]] > forest.cut[node])
     return forest.leaf_value[node].sum(axis=1) / forest.roots.size
 
 
@@ -266,8 +262,9 @@ class TestIsolationForest:
             forest = detectors._grow_forest(x, samples, np.random.default_rng(5))
             height_limit = math.ceil(math.log2(psi))
             if column is not None:
-                assert set(forest.feature[forest.feature >= 0]) == {column}
-            tree_arrays = (forest.feature, forest.cut, forest.left, forest.right)
+                internal = forest.child != np.arange(forest.child.size)
+                assert set(forest.feature[internal]) == {column}
+            tree_arrays = (forest.feature, forest.cut, forest.child)
             held = {}  # node -> (depth, subsample rows reaching it)
             for root, sample in zip(forest.roots, samples):
                 for row in sample:
@@ -276,11 +273,11 @@ class TestIsolationForest:
             # every node holds rows, so every split has two non-empty parts
             assert sorted(held) == list(range(forest.feature.size))
             for node, (depth, rows) in held.items():
-                f = forest.feature[node]
-                if f >= 0:
-                    values = x[rows, f]
+                if forest.child[node] != node:
+                    values = x[rows, forest.feature[node]]
                     assert values.min() <= forest.cut[node] < values.max()
                     continue
+                assert (forest.feature[node], forest.cut[node]) == (0, np.inf)
                 assert forest.leaf_value[node] == depth + average_path_length(len(rows))
                 if depth < height_limit and len(rows) > 1:
                     assert len(np.unique(x[rows], axis=0)) == 1
@@ -323,7 +320,7 @@ class TestIsolationForest:
             model = iforest_fit(dataset(x), cfg)
             query_lengths = model.path_lengths(query)
             assert pools == pool_threads, cpus
-            for name in ("feature", "cut", "left", "right", "leaf_value", "train_scores"):
+            for name in ("feature", "cut", "child", "leaf_value", "train_scores"):
                 assert np.array_equal(getattr(model, name), getattr(expected, name)), name
             assert model.threshold == expected.threshold
             assert np.array_equal(query_lengths, expected_query)
