@@ -8,16 +8,7 @@ detectors, PCA and Gaussian-random-projection baselines, evaluation metrics,
 a synthetic data generator, and a benchmark runner with a CLI.
 """
 
-from .baselines import (
-    GrpModel,
-    PcaModel,
-    grp_model,
-    grp_transform,
-    load_model,
-    pca_fit,
-    pca_transform,
-    save_model,
-)
+from .baselines import PcaModel, grp_transform, pca_fit, pca_transform
 from .bench import (
     CellResult,
     ConfigError,

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .baselines import grp_model, grp_transform, pca_fit, pca_transform, save_model
+from .baselines import grp_transform, pca_fit, pca_transform
 from .data import (
     DataError,
     Dataset,
@@ -41,7 +41,7 @@ from .detectors import (
     lof_score,
 )
 from .metrics import confusion, prf1, roc_auc
-from .ranking import AttributeRank, export_rank, fit_reducer, top_t, transform
+from .ranking import export_rank, fit_reducer, top_t, transform
 from .synth import SynthSpec, generate
 
 REDUCERS = ("none", "outcentr", "pca", "grp")
@@ -311,7 +311,10 @@ def _load_source(cfg: RunConfig, seed: int, cache: dict) -> Dataset:
 
 
 def _reduce(reducer, train, test, t, seed, cfg):
-    """Fit one reducer on train, apply to both parts; returns (train', test', k, model)."""
+    """Fit one reducer on train, apply to both parts; returns (train', test', k, rank).
+
+    ``rank`` is the fitted :class:`AttributeRank` for outcentr and None otherwise.
+    """
     if reducer == "none":
         return train, test, train.m, None
     if reducer == "outcentr":
@@ -320,9 +323,9 @@ def _reduce(reducer, train, test, t, seed, cfg):
     if reducer == "pca":
         k = min(t, train.n - 1)
         model = pca_fit(train, k)
-        return pca_transform(model, train), pca_transform(model, test), k, model
+        return pca_transform(model, train), pca_transform(model, test), k, None
     if reducer == "grp":
-        return grp_transform(train, t, seed), grp_transform(test, t, seed), t, grp_model(train.m, t, seed)
+        return grp_transform(train, t, seed), grp_transform(test, t, seed), t, None
     raise ConfigError(f"unknown reducer {reducer!r}")
 
 
@@ -356,7 +359,9 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     on train and replay on test, fit each reducer on train at the shared k,
     then fit each detector on the reduced train and score the reduced test.
     Contamination is the outlier ratio of the training labels (capped at
-    0.5). Any failure is re-raised tagged with its cell.
+    0.5). Any failure is re-raised tagged with its cell. With
+    ``save_model_dir`` set, each seed's outcentr rank is exported there as
+    ``outcentr_seed{seed}.csv``.
     """
     save_dir = Path(cfg.save_model_dir) if cfg.save_model_dir else None
     if save_dir is not None:
@@ -376,11 +381,11 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
             raise RunError(f"cell ({cell_id}): {exc}") from exc
         for reducer in cfg.reducers:
             try:
-                train_red, test_red, k_used, model = _reduce(
+                train_red, test_red, k_used, rank = _reduce(
                     reducer, train, test, t, seed, cfg
                 )
-                if save_dir is not None and model is not None:
-                    _save_reducer_model(save_dir, reducer, seed, model)
+                if save_dir is not None and rank is not None:
+                    export_rank(rank, save_dir / f"outcentr_seed{seed}.csv")
             except Exception as exc:
                 raise RunError(f"cell ({cell_id}, reducer={reducer}): {exc}") from exc
             for detector in cfg.detectors:
@@ -412,13 +417,6 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
                     )
                 )
     return ExperimentReport(cells=tuple(cells))
-
-
-def _save_reducer_model(save_dir: Path, reducer: str, seed: int, model) -> None:
-    if isinstance(model, AttributeRank):
-        export_rank(model, save_dir / f"outcentr_seed{seed}.csv")
-    else:
-        save_model(model, save_dir / f"{reducer}_seed{seed}.txt")
 
 
 _RESULT_COLUMNS = (

@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--t-fraction", type=float, help="override the selection fraction")
     run.add_argument("--transductive", action="store_true", help="threshold on the scored set itself")
     run.add_argument("--label-budget", type=float, help="fraction of labels used per class")
-    run.add_argument("--save-model", metavar="DIR", help="save fitted reducer models here")
+    run.add_argument("--save-model", metavar="DIR", help="write each seed's outcentr rank CSV here")
     run.add_argument("--out", help="override the output directory")
     run.set_defaults(handler=_cmd_run)
 

@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS/FAIL lines. Criterion 10 needs externally sourced benchmark CSVs and
 skips unless OUTCENTR_BENCHMARKS points at a directory holding them (see the
-README for the expected layout).
+README for the expected layout). Its code also runs on four synthetic
+stand-ins, which checks that it runs, not its verdict.
 """
 
 import os
@@ -349,15 +350,8 @@ def test_criterion_9_end_to_end_reproducibility(tmp_path):
 BENCHMARK_FILES = ("nvd.csv", "network_intrusion.csv", "fraud.csv", "census.csv")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("OUTCENTR_BENCHMARKS"),
-    reason="set OUTCENTR_BENCHMARKS to a directory with the four benchmark CSVs",
-)
-def test_criterion_10_benchmark_directional_agreement():
-    root = Path(os.environ["OUTCENTR_BENCHMARKS"])
-    missing = [name for name in BENCHMARK_FILES if not (root / name).exists()]
-    if missing:
-        pytest.skip(f"benchmark files missing from {root}: {missing}")
+def benchmark_wins(root: Path) -> int:
+    """Count the benchmark CSVs in ``root`` where outcentr lifts iForest's F1 over no reduction."""
     wins = 0
     for name in BENCHMARK_FILES:
         cfg = oc.RunConfig(
@@ -372,6 +366,28 @@ def test_criterion_10_benchmark_directional_agreement():
         rows = oc.run_experiment(cfg).median_rows()
         by_key = {(r["reducer"], r["detector"]): r["f1"] for r in rows}
         wins += by_key[("outcentr", "iforest")] > by_key[("none", "iforest")]
+    return wins
+
+
+def test_benchmark_wins_runs_on_stand_in_files(tmp_path, monkeypatch):
+    """Criterion 10's code, run on four synthetic stand-ins for the benchmark CSVs."""
+    monkeypatch.delenv("OUTCENTR_BENCHMARKS", raising=False)
+    for seed, name in enumerate(BENCHMARK_FILES):
+        spec = oc.SynthSpec(n=150, m=20, contamination=0.08, n_informative=3, seed=seed)
+        oc.write_csv(oc.generate(spec)[0], tmp_path / name)
+    assert benchmark_wins(tmp_path) in range(5)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("OUTCENTR_BENCHMARKS"),
+    reason="set OUTCENTR_BENCHMARKS to a directory with the four benchmark CSVs",
+)
+def test_criterion_10_benchmark_directional_agreement():
+    root = Path(os.environ["OUTCENTR_BENCHMARKS"])
+    missing = [name for name in BENCHMARK_FILES if not (root / name).exists()]
+    if missing:
+        pytest.skip(f"benchmark files missing from {root}: {missing}")
+    wins = benchmark_wins(root)
     report(
         10,
         "reduction beats the iForest baseline F1 on at least 3 of 4 benchmark datasets",

@@ -1,22 +1,26 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from outcentr import bench, cli
-from outcentr.baselines import grp_model, load_model, pca_fit, save_model
+from outcentr import bench, cli, data
 from outcentr.bench import (
     ConfigError,
     RunConfig,
+    RunError,
     emit_report,
     load_run_config,
     load_synth_spec,
     run_experiment,
 )
 from outcentr.cli import main
-from outcentr.data import Dataset, load_csv, normalize_minmax
+from outcentr.data import DataError, load_csv, normalize_minmax, write_csv
+from outcentr.detectors import DISTANCE_METRICS
 from outcentr.ranking import attribute_rank, export_rank, load_rank, rank_diff, write_rank_diff_csv
-from outcentr.synth import SynthSpec
+from outcentr.synth import SynthSpec, generate
 
 
 SYNTH_CONFIG = """\
@@ -66,15 +70,6 @@ def test_every_reader_drops_a_byte_order_mark(tmp_path):
     for load, path in ((load_run_config, write_config(tmp_path)), (load_synth_spec, spec),
                        (load_rank, rank)):
         assert load(with_byte_order_mark(path)) == load(path), path.name
-    rows = np.random.default_rng(3).normal(size=(30, 4))
-    pca = pca_fit(Dataset(rows, ("a1", "a2", "a3", "a4")), k=2)
-    for name, model in (("pca.txt", pca), ("grp.txt", grp_model(m=4, k=2, seed=9))):
-        path = tmp_path / name
-        save_model(model, path)
-        plain, marked = load_model(path), load_model(with_byte_order_mark(path))
-        assert type(plain) is type(marked), name
-        for field, value in vars(plain).items():
-            assert np.array_equal(getattr(marked, field), value), (name, field)
 
 
 def synth_run_config(tmp_path, **overrides):
@@ -247,8 +242,6 @@ class TestRunExperiment:
         assert all(cell.k_used == 28 for cell in report.cells)
 
     def test_cell_errors_carry_the_cell_id(self, tmp_path):
-        from outcentr.bench import RunError
-
         # k_neighbors >= train size makes LOF unfittable
         cfg = synth_run_config(
             tmp_path,
@@ -259,6 +252,82 @@ class TestRunExperiment:
         )
         with pytest.raises(RunError, match="seed=5.*detector=lof"):
             run_experiment(cfg)
+
+
+def subsets(items):
+    return st.lists(st.sampled_from(items), min_size=1, unique=True).map(tuple)
+
+
+# contamination up to 0.5 can leave the outlier class as large as the inlier one
+@pytest.mark.filterwarnings("ignore:outlier class .* is not smaller:UserWarning")
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(8, 149),
+    m=st.integers(1, 24),
+    contamination=st.floats(0.01, 0.5),
+    n_informative=st.none() | st.integers(1, 24),
+    separation=st.floats(0.0, 8.0),
+    seed=st.integers(0, 2**16),
+    reducers=subsets(bench.REDUCERS),
+    detectors=subsets(("iforest", "lof")),
+    metric=st.sampled_from(DISTANCE_METRICS),
+    transductive=st.booleans(),
+    t_fraction=st.floats(0.01, 1.0),
+    split_fraction=st.floats(0.05, 0.95),
+    label_budget=st.floats(0.01, 1.0),
+    n_trees=st.integers(1, 20),
+    max_samples=st.just("auto") | st.integers(2, 160),
+    k_neighbors=st.integers(1, 30),
+)
+def test_every_run_scores_in_range_or_fails_in_a_named_cell(
+    n, m, contamination, n_informative, separation, seed, **run_settings
+):
+    """A run that builds either scores every cell in [0, 1] or names the cell its DataError hit."""
+    try:
+        spec = SynthSpec(n=n, m=m, contamination=contamination,
+                         n_informative=n_informative, separation=separation)
+        cfg = RunConfig(source="synth", dataset_name="prop", synth=spec, seeds=(seed,),
+                        **run_settings)
+    except (ConfigError, DataError):
+        reject()
+    try:
+        report = run_experiment(cfg)
+    except RunError as exc:
+        assert str(exc).startswith(f"cell (dataset=prop, seed={seed}"), str(exc)
+        assert isinstance(exc.__cause__, DataError), repr(exc.__cause__)
+        return
+    assert len(report.cells) == len(cfg.reducers) * len(cfg.detectors)
+    for cell in report.cells:
+        for value in (cell.f1, cell.precision, cell.recall, cell.auc):
+            assert math.isfinite(value) and 0.0 <= value <= 1.0, cell
+
+
+@pytest.mark.parametrize("reader", ["numpy", "row-wise"])
+def test_csv_source_matches_synth_source(tmp_path, monkeypatch, reader):
+    """A synthetic dataset written to CSV scores as the synth source does, through either reader."""
+    if reader == "numpy":
+        monkeypatch.setattr(data, "_load_csv_rows", None)  # a fallback would fail the call
+    else:
+        monkeypatch.setattr(data, "_load_clean_csv", lambda *args: None)
+    spec = SynthSpec(n=200, m=12, contamination=0.1, n_informative=3, seed=5)
+    csv_path = tmp_path / "toy.csv"
+    generated = generate(spec)[0]
+    write_csv(generated, csv_path)
+    # the reader hands the run the generated matrix bit for bit
+    loaded = load_csv(csv_path, label_column="label")
+    assert loaded.values.tobytes() == generated.values.tobytes()
+    assert np.array_equal(loaded.labels, generated.labels)
+    common = dict(dataset_name="toy", reducers=bench.REDUCERS, detectors=("iforest", "lof"),
+                  seeds=(spec.seed,), n_trees=30, k_neighbors=10)
+
+    def columns_1_to_9(cfg):
+        results, _, _ = emit_report(run_experiment(cfg), cfg.output_dir)
+        return [line.split(",")[:9] for line in results.read_text().splitlines()]
+
+    synth = RunConfig(source="synth", synth=spec, output_dir=str(tmp_path / "synth"), **common)
+    from_csv = RunConfig(source="csv", csv_path=str(csv_path), label_column="label",
+                         output_dir=str(tmp_path / "csv"), **common)
+    assert columns_1_to_9(from_csv) == columns_1_to_9(synth)
 
 
 class TestEmitReport:
@@ -370,8 +439,7 @@ class TestCli:
         config = write_config(tmp_path, text=small, out=out_dir)
         assert main(["run", "--config", str(config), "--save-model", str(models)]) == 0
         assert (models / "outcentr_seed3.csv").exists()
-        assert (models / "pca_seed3.txt").exists()
-        assert (models / "grp_seed3.txt").exists()
+        assert not list(models.glob("*.txt"))
 
     def test_missing_config_is_exit_1(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from outcentr import data
-from outcentr.baselines import grp_model, pca_fit
+from outcentr.baselines import pca_fit
 from outcentr.data import (
     DataError,
     Dataset,
@@ -527,7 +527,6 @@ CONTAINERS = {
         _labeled(), DetectorConfig(kind="lof", contamination=0.2, k_neighbors=3)
     ),
     "PcaModel": lambda: pca_fit(_labeled(), 2),
-    "GrpModel": lambda: grp_model(3, 2, seed=0),
 }
 
 
