@@ -122,6 +122,17 @@ class TestGrp:
         assert np.array_equal(projection(123), projection(123))
         assert not np.array_equal(projection(123), projection(124))
 
+    @pytest.mark.parametrize("n, m, k", [(30, 7, 3), (12, 40, 9), (50, 1, 1)])
+    def test_train_and_test_rows_land_in_the_same_space(self, n, m, k):
+        # the runner projects its train and test splits in two calls with one seed
+        x = np.random.default_rng(m).normal(size=(n, m))
+        whole = grp_transform(dataset(x), k=k, seed=7).values
+        train = grp_transform(dataset(x[: n // 3]), k=k, seed=7).values
+        test = grp_transform(dataset(x[n // 3 :]), k=k, seed=7).values
+        assert np.allclose(np.vstack([train, test]), whole, rtol=0.0, atol=1e-12)
+        other = grp_transform(dataset(x[n // 3 :]), k=k, seed=8).values
+        assert not np.allclose(other, test, rtol=0.0, atol=1e-12)
+
     def test_doubling_is_exact_linear(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(6, 12))
