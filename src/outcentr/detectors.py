@@ -30,13 +30,16 @@ every k-distance, neighborhood and mean, so the results are those of the
 expanded rows (Breunig et al. 2000) while the work grows with the number of
 distinct rows. Without duplicates every weight is 1, and every sum runs over
 the same terms in the same order as it would unweighted. Euclidean
-candidates come from one matrix product per row block (the norm expansion
-||q||^2 + ||r||^2 - 2 q.r), and only the candidates near each row's
-k-distance have their distances recomputed from explicit differences.
-Manhattan distances are summed one column at a time inside the same row
-block. Neighbor lists are stored flat (CSR) and reduced with
-``np.bincount``. A fitted :class:`LofModel` holds its training
-:class:`~outcentr.data.Dataset` as the reference set, not a copy of its rows.
+candidates come from one float32 matrix product per row block (the norm
+expansion ||q||^2 + ||r||^2 - 2 q.r, on rows scaled by a power of two into
+(-1, 1)), and only the candidates within a proven rounding margin of each
+row's k-th value have their distances recomputed, in float64, from
+explicit differences: the results are those of a dense float64 search, bit
+for bit. Manhattan distances are summed one column at a time inside the
+same row block. Repeated query rows are scored once. Neighbor lists are
+stored flat (CSR) and reduced with ``np.bincount``. A fitted
+:class:`LofModel` holds its training :class:`~outcentr.data.Dataset` as the
+reference set, not a copy of its rows.
 """
 
 from __future__ import annotations
@@ -56,8 +59,9 @@ DISTANCE_METRICS = ("euclidean", "manhattan")
 _EULER_GAMMA = 0.5772156649015329
 # duplicate rows give zero reachability distances; floor before inverting
 _MIN_DISTANCE = 1e-12
-# cells one row block holds at once (~2 MB of float64): LOF's selection values
-# and Manhattan differences, the gathered columns of isolation-tree growth
+# cells one row block holds at once: LOF's selection values (~1 MB of float32
+# for Euclidean, ~2 MB of float64 for Manhattan, with its differences) and the
+# gathered columns of isolation-tree growth
 _BLOCK_CELLS = 1 << 18
 # gathered cells per tile of the exact Euclidean recheck (~512 KB)
 _PAIR_TILE_CELLS = 1 << 16
@@ -575,18 +579,40 @@ def _neighborhoods(
     selection values, in two steps:
 
     1. Candidates. For Euclidean distance a block's selection values are
-       ||r||^2 - 2 q.r from one matrix product; the query norm is constant
-       along a row and is left out. The min(k, n_ref)-th smallest value
+       ||r||^2 - 2 q.r from one float32 matrix product; the query norm is
+       constant along a row and is left out. Query and reference rows are
+       first scaled by one power of two, 2^-e, so that every entry lies in
+       (-1, 1): the product cannot overflow, and data at 1e25 or 1e-25 keep
+       float32's relative precision. The min(k, n_ref)-th smallest value
        comes from ``np.partition``, and every reference point within a
        rounding margin of it is a candidate. Every entry but a lone copy of
        the row itself (+inf) weighs at least 1, so that value bounds the
-       k-distance. The margin, 4 (m + 2) eps (||q||^2 + max ||r||^2), covers
-       the expansion's rounding error on a value and on the cut value plus
-       the error of the exact distances, so every point that the exact
-       distances put within the k-distance is a candidate, however far the
-       data sit from the origin. Manhattan distance has no such expansion:
-       its selection values are the exact distances from _distance_block,
-       and there is no margin.
+       k-distance. Manhattan distance has no such expansion: its selection
+       values are the exact distances from _distance_block, in float64, and
+       there is no margin.
+
+       The margin. Write q, r for scaled rows, u = 2^-24 and S = ||q||^2 +
+       2 max ||r||^2. The float32 operands [q, 1] and [-2 r; ||r||^2] are
+       rounded once from float64, and the m + 1 terms of a value add up to
+       at most S in magnitude, so a computed value is off its exact value
+       by at most (m + 3) u S to first order: 2 u S from the rounded
+       operands and (m + 1) u S from the sum, in any order. With entries
+       below 1, underflow adds at most 3 (m + 1) quanta 2^-149: half a
+       quantum for each of the 2 m + 1 rounded operands, doubled by the
+       factor 2, and half for each of the m products. Call the total B.
+       Let K be the k-distance that the float64 distances of step 2 give
+       over all reference rows, and p a point within it. The entries at or
+       below the cut weigh k or more, so one of them, a, is at distance K
+       or more. So p's exact value is at most a's, up to the float64 error
+       of those distances; p's computed value is at most a's plus 2 B; and
+       a's is at most the cut. The margin, 4 (m + 3) eps32 S +
+       24 (m + 1) 2^-149 with eps32 = 2 u, is 8 B: four times the 2 B
+       needed. The spare covers second-order terms, the float64 error of
+       the explicit distances and their square roots, and the rounding of
+       cut + margin, which is then rounded up to float32 (``np.nextafter``)
+       so that the float32 comparison loses nothing. So every point that
+       step 2 keeps is a candidate, and the output is that of a dense
+       float64 search, bit for bit.
     2. Exact recheck. Candidate distances are recomputed from explicit
        differences (Euclidean only), so square roots are taken of candidates,
        never of a whole block. The k-distance is the k-th smallest of them,
@@ -598,15 +624,20 @@ def _neighborhoods(
     kth = min(k, n_ref) - 1
     euclidean = metric == "euclidean"
     if euclidean:
-        # [q, 1] @ [-2 ref.T; ||r||^2] does the norm add inside the product
+        # 2^-e puts every entry in (-1, 1); the float32 operands are filled
+        # straight from the float64 rows, through no float64 copy
+        e = math.frexp(max(query.max(), -query.min(), ref.max(), -ref.min()))[1]
+        query_aug = np.empty((n_q, m + 1), np.float32)
+        np.ldexp(query, -e, out=query_aug[:, :m])
+        query_aug[:, m] = 1.0
         ref_sq = np.einsum("ij,ij->i", ref, ref)
-        ref_aug = np.vstack([-2.0 * ref.T, ref_sq])
-        query_aug = np.hstack([query, np.ones((n_q, 1))])
-        margin = 4 * (m + 2) * np.finfo(np.float64).eps * (
-            np.einsum("ij,ij->i", query, query) + ref_sq.max()
-        )
-    else:
-        margin = np.zeros(n_q)
+        ref_aug = np.empty((m + 1, n_ref), np.float32)
+        np.ldexp(ref.T, 1 - e, out=ref_aug[:m])
+        np.negative(ref_aug[:m], out=ref_aug[:m])
+        ref_aug[m] = np.ldexp(ref_sq, -2 * e)
+        norms = np.ldexp(np.einsum("ij,ij->i", query, query) + 2 * ref_sq.max(), -2 * e)
+        eps32 = float(np.finfo(np.float32).eps)
+        margin = 4 * (m + 3) * eps32 * norms + 24 * (m + 1) * 2.0**-149
     kdist = np.empty(n_q)
     indices, distances, weights, counts = [], [], [], []
     for start in range(0, n_q, block):
@@ -618,7 +649,11 @@ def _neighborhoods(
         if exclude_self:
             alone = np.flatnonzero(copies[start:stop] == 1)
             values[alone, alone + start] = np.inf
-        cut = np.partition(values, kth, axis=1)[:, kth] + margin[start:stop]
+        cut = np.partition(values, kth, axis=1)[:, kth]
+        if euclidean:
+            cut = cut + margin[start:stop]
+            up = cut.astype(np.float32)  # to nearest: step up where that fell below
+            cut = np.where(up < cut, np.nextafter(up, np.float32(np.inf)), up)
         rows, cols = np.divmod(np.flatnonzero(values <= cut[:, None]), n_ref)
         weight = copies[cols]
         if exclude_self:
@@ -719,15 +754,19 @@ def lof_score(model: LofModel, d: Dataset) -> DetectionResult:
     """Score unseen rows against a fitted LOF reference, train-quantile threshold.
 
     Each query row is scored on its own against the distinct training rows,
-    weighted by their copies; no training point is the query itself.
+    weighted by their copies; no training point is the query itself. A
+    query row repeated in ``d`` is scored once (_distinct_rows), and every
+    copy gets that score.
     """
     ref, cfg = model.reference, model.config
     if d.m != ref.m:
         raise DataError(f"dataset has m={d.m}, reference was fit on m={ref.m}")
+    distinct, _, inverse = _distinct_rows(d.values)
     nb = _neighborhoods(
-        d.values, _take_rows(ref.values, model.distinct), model.copies,
+        _take_rows(d.values, distinct), _take_rows(ref.values, model.distinct), model.copies,
         cfg.k_neighbors, cfg.metric, exclude_self=False,
     )
     lrd = model.lrd[model.distinct]
     own_lrd = _local_reachability_density(nb, model.kdist[model.distinct])
-    return DetectionResult(scores=nb.row_mean(lrd[nb.indices]) / own_lrd, threshold=model.threshold)
+    scores = (nb.row_mean(lrd[nb.indices]) / own_lrd)[inverse]
+    return DetectionResult(scores=scores, threshold=model.threshold)

@@ -88,15 +88,19 @@ def generate(spec: SynthSpec) -> tuple[Dataset, tuple[int, ...]]:
     labels[:n_out] = 1
 
     noise = rng.standard_normal((n, m - d_inf))
-    columns = np.hstack([informative, noise])
 
+    # column j is column col_perm[j] of [informative, noise], row i is row
+    # row_perm[i]: one gather from each block, into one array
     col_perm = rng.permutation(m)
-    values = columns[:, col_perm]
-    informative_positions = tuple(int(j) for j in np.flatnonzero(col_perm < d_inf))
-
     row_perm = rng.permutation(n)
+    is_informative = col_perm < d_inf
+    values = np.empty((n, m))
+    values[:, is_informative] = informative[np.ix_(row_perm, col_perm[is_informative])]
+    values[:, ~is_informative] = noise[np.ix_(row_perm, col_perm[~is_informative] - d_inf)]
+    informative_positions = tuple(int(j) for j in np.flatnonzero(is_informative))
+
     names = tuple(f"a{j + 1}" for j in range(m))
-    dataset = Dataset(values=values[row_perm], attribute_names=names, labels=labels[row_perm])
+    dataset = Dataset(values=values, attribute_names=names, labels=labels[row_perm])
     return dataset, informative_positions
 
 

@@ -81,6 +81,61 @@ def brute_force_lof(x, k, metric="euclidean", query=None):
     return np.array(query_lof)
 
 
+def dense_neighborhoods(query, ref, copies, k, exclude_self):
+    """k-distances and neighbor lists from every query-reference distance.
+
+    Reference row j stands for ``copies[j]`` points; with ``exclude_self``
+    query row i is reference row i and one of its copies is the row itself.
+    Every distance is summed from explicit differences in float64, one query
+    row at a time. The k-distance is the first distance, in ascending order,
+    at which the copies seen reach k; the neighbors are the reference rows
+    with a copy left within it, in ascending order. Returns (kdist, indices,
+    distances, weights, counts), the CSR lists laid out row after row.
+    """
+    ref = np.asarray(ref, dtype=float)
+    kdist, indices, distances, weights, counts = [], [], [], [], []
+    for i, q in enumerate(np.asarray(query, dtype=float)):
+        diff = q - ref
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        weight = [int(c) - (exclude_self and j == i) for j, c in enumerate(copies)]
+        seen = 0
+        for j in sorted(range(len(ref)), key=lambda j: dist[j]):
+            seen += weight[j]
+            if seen >= k:
+                kd = dist[j]
+                break
+        row = [j for j in range(len(ref)) if weight[j] > 0 and dist[j] <= kd]
+        kdist.append(kd)
+        indices += row
+        distances += [dist[j] for j in row]
+        weights += [weight[j] for j in row]
+        counts.append(len(row))
+    return tuple(np.array(a) for a in (kdist, indices, distances, weights, counts))
+
+
+def generate_by_stacking(spec):
+    """A synthetic dataset as a stack of informative and noise columns, permuted.
+
+    The draws of outcentr.synth.generate, in its order: the outlier
+    direction, the informative block, the noise block, a column permutation
+    and a row permutation. The blocks are stacked side by side, the columns
+    permuted, then the rows. Returns (values, labels, informative positions).
+    """
+    rng = np.random.default_rng(spec.seed)
+    n, m, d_inf, n_out = spec.n, spec.m, spec.informative_count, spec.n_outliers
+    direction = rng.standard_normal(d_inf)
+    direction /= np.linalg.norm(direction)
+    informative = rng.standard_normal((n, d_inf))
+    informative[:n_out] += spec.separation * direction
+    labels = np.zeros(n, dtype=np.int64)
+    labels[:n_out] = 1
+    columns = np.hstack([informative, rng.standard_normal((n, m - d_inf))])
+    col_perm = rng.permutation(m)
+    row_perm = rng.permutation(n)
+    positions = tuple(int(j) for j in np.flatnonzero(col_perm < d_inf))
+    return columns[:, col_perm][row_perm], labels[row_perm], positions
+
+
 def isolation_tree_path(feature, cut, child, root, point):
     """Nodes that ``point`` visits in one isolation tree, from ``root`` to its leaf.
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -593,6 +596,26 @@ class TestCli:
             return [",".join(line.split(",")[:9]) for line in lines]
 
         assert stable(tmp_path / "r1" / "results.csv") == stable(tmp_path / "r2" / "results.csv")
+
+    def test_results_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # Large enough for BLAS to split its products over threads: at this
+        # size PCA projections differ in their last bits between 1 and 2
+        # threads, so only columns 1-9 (no timings) are compared.
+        text = SYNTH_CONFIG.replace("n = 240\nm = 20", "n = 2000\nm = 100").replace(
+            "n_informative = 4", "n_informative = 10"
+        ).replace("seeds = 0, 1", "seeds = 0")
+        src = str(Path(bench.__file__).parents[1])
+        columns = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            config = write_config(tmp_path, text=text, out=out)
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "outcentr", "run", "--config", str(config)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            lines = (out / "results.csv").read_bytes().splitlines()
+            columns.append([b",".join(line.split(b",")[:9]) for line in lines])
+        assert columns[0] == columns[1]
 
     def test_results_match_golden_file(self, tmp_path):
         # Columns 1-9 of results.csv on acceptance criterion 9's config. A change

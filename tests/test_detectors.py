@@ -26,7 +26,12 @@ from outcentr.detectors import (
     lof_score,
 )
 
-from oracles import brute_force_lof, isolation_path_lengths, isolation_tree_path
+from oracles import (
+    brute_force_lof,
+    dense_neighborhoods,
+    isolation_path_lengths,
+    isolation_tree_path,
+)
 
 
 def dataset(values, labels=None):
@@ -486,6 +491,24 @@ class TestLof:
         x = np.repeat(base, copies, axis=0)[rng.permutation(sum(copies))]
         assert_weighted_lof_matches_oracle(x, np.vstack([base, base[:1] + 0.25]), k)
 
+    def test_held_out_copies_are_scored_once(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        model = lof_fit(dataset(rng.random((60, 3))), lof_cfg(k_neighbors=6))
+        rows = rng.random((9, 3))
+        alone = [lof_score(model, dataset(row[None])).scores[0] for row in rows]
+        pick = rng.integers(0, 9, size=40)
+        pick[:9] = np.arange(9)  # every row appears
+        searched, neighborhoods = [], detectors._neighborhoods
+
+        def spy(query, *args, **kwargs):
+            searched.append(query.shape[0])
+            return neighborhoods(query, *args, **kwargs)
+
+        monkeypatch.setattr(detectors, "_neighborhoods", spy)
+        scores = lof_score(model, dataset(rows[pick])).scores
+        assert searched == [9]
+        assert scores.tobytes() == np.array(alone)[pick].tobytes()
+
     def test_requires_more_rows_than_neighbors(self):
         d = dataset(np.random.default_rng(13).random((5, 2)))
         with pytest.raises(DataError, match="more rows than neighbors"):
@@ -610,6 +633,48 @@ def test_lof_on_duplicate_rows_matches_the_expanded_rows(data):
     x = np.repeat(base * 0.5, copies, axis=0)[perm]
     query = data.draw(arrays(np.int64, (4, m), elements=st.integers(-4, 4)), label="query") * 0.5
     assert_weighted_lof_matches_oracle(x, np.vstack([query, x[:2]]), k)
+
+
+def adversarial_rows(case, rng):
+    """Rows where float32 selection values round, overflow or underflow badly."""
+    if case in ("1e25", "1e-25"):
+        return rng.standard_normal((120, 6)) * float(case)
+    if case == "1e6 beside 1e-6":
+        return rng.standard_normal((120, 6)) * np.repeat([1e6, 1e-6], 3)
+    if case == "near ties":
+        # 1e-3 steps sit at float32's resolution of 1e4
+        steps = rng.integers(0, 6, size=(150, 4)) * 1e-3
+        return 1e4 + steps + rng.standard_normal((150, 4)) * 1e-9
+    if case == "lattice":
+        return rng.integers(-3, 4, size=(150, 3)).astype(float)
+    base = rng.random((40, 5))  # duplicated rows, tie groups around k
+    return np.repeat(base, rng.integers(1, 9, size=40), axis=0)
+
+
+@pytest.mark.parametrize("case", [
+    "1e25", "1e-25", "1e6 beside 1e-6", "near ties", "lattice", "duplicated",
+])
+@pytest.mark.parametrize("k", [1, 4, 10])
+def test_candidate_search_matches_a_dense_float64_search(case, k):
+    """The float32 candidate search keeps every point of the dense search.
+
+    _neighborhoods must return exactly what a dense float64 search over all
+    pairs returns, bit for bit, for a fit (query rows are the reference) and
+    for held-out rows.
+    """
+    rng = np.random.default_rng(31)
+    x = adversarial_rows(case, rng)
+    x = x[rng.permutation(len(x))]
+    distinct, copies, _ = detectors._distinct_rows(x)
+    picked = x[rng.integers(0, len(x), 30)]
+    ref, query = x[distinct], np.vstack([picked[:15], picked[15:] * (1 + 1e-12)])
+    assert len(ref) > k
+    for rows, exclude_self in ((ref, True), (query, False)):
+        got = detectors._neighborhoods(rows, ref, copies, k, "euclidean", exclude_self)
+        expected = dense_neighborhoods(rows, ref, copies, k, exclude_self)
+        for name, want in zip(got._fields, expected):
+            have = getattr(got, name)
+            assert have.tobytes() == want.astype(have.dtype).tobytes(), (exclude_self, name)
 
 
 class TestDistinctRows:

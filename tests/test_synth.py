@@ -5,6 +5,8 @@ from outcentr.data import DataError, load_csv, normalize_minmax, split
 from outcentr.ranking import compute_centroid, distinguishability_scores, partition_labels
 from outcentr.synth import SynthSpec, generate, save_synth
 
+from oracles import generate_by_stacking
+
 
 class TestSynthSpec:
     def test_table_grid_counts(self):
@@ -48,6 +50,20 @@ class TestGenerate:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.labels, b.labels)
         assert info_a == info_b
+
+    @pytest.mark.parametrize("spec", [
+        dict(n=200, m=20, contamination=0.1),
+        dict(n=300, m=45, contamination=0.05, n_informative=7, separation=2.5),
+        dict(n=40, m=6, contamination=0.2, n_informative=6),  # no noise columns
+        dict(n=9, m=1, contamination=0.3),
+    ])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_matches_stacking_the_blocks_then_permuting(self, spec, seed):
+        data, informative = generate(SynthSpec(seed=seed, **spec))
+        values, labels, positions = generate_by_stacking(SynthSpec(seed=seed, **spec))
+        assert data.values.tobytes() == values.tobytes()
+        assert data.labels.tobytes() == labels.tobytes()
+        assert informative == positions
 
     def test_different_seed_differs(self):
         a, _ = generate(SynthSpec(n=200, m=20, contamination=0.1, seed=1))
