@@ -16,21 +16,21 @@ leaves out is not passed on, so the defaults of :class:`RunConfig`,
 from __future__ import annotations
 
 import configparser
-import csv
 import statistics
 import time
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 from .baselines import grp_transform, pca_fit, pca_transform
 from .data import (
     DataError,
-    Dataset,
     apply_normalization,
     existing_file,
     load_csv,
     normalize_minmax,
     split,
+    write_rows,
 )
 from .detectors import (
     DetectorConfig,
@@ -266,6 +266,9 @@ class CellResult:
     predict_seconds: float
 
 
+_MEDIANS = ("f1", "precision", "recall", "auc", "fit_seconds", "predict_seconds")
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """All cells of one experiment, in execution order."""
@@ -277,43 +280,23 @@ class ExperimentReport:
         groups: dict[tuple[str, str, str], list[CellResult]] = {}
         for cell in self.cells:
             groups.setdefault((cell.dataset, cell.reducer, cell.detector), []).append(cell)
-        rows = []
-        for (dataset, reducer, detector), cells in groups.items():
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "reducer": reducer,
-                    "detector": detector,
-                    "seeds": len(cells),
-                    "f1": statistics.median(c.f1 for c in cells),
-                    "precision": statistics.median(c.precision for c in cells),
-                    "recall": statistics.median(c.recall for c in cells),
-                    "auc": statistics.median(c.auc for c in cells),
-                    "fit_seconds": statistics.median(c.fit_seconds for c in cells),
-                    "predict_seconds": statistics.median(c.predict_seconds for c in cells),
-                }
-            )
-        return rows
-
-
-def _load_source(cfg: RunConfig, seed: int, cache: dict) -> Dataset:
-    if cfg.source == "csv":
-        if "csv" not in cache:
-            cache["csv"] = load_csv(
-                cfg.csv_path,
-                label_column=cfg.label_column,
-                positive_token=cfg.positive_token,
-                negative_token=cfg.negative_token,
-            )
-        return cache["csv"]
-    dataset, _ = generate(replace(cfg.synth, seed=seed))
-    return dataset
+        return [
+            {
+                "dataset": dataset,
+                "reducer": reducer,
+                "detector": detector,
+                "seeds": len(cells),
+                **{name: statistics.median(getattr(c, name) for c in cells) for name in _MEDIANS},
+            }
+            for (dataset, reducer, detector), cells in groups.items()
+        ]
 
 
 def _reduce(reducer, train, test, t, seed, cfg):
     """Fit one reducer on train, apply to both parts; returns (train', test', k, rank).
 
-    ``rank`` is the fitted :class:`AttributeRank` for outcentr and None otherwise.
+    ``rank`` is the fitted :class:`AttributeRank` for outcentr and None
+    otherwise. :class:`RunConfig` has checked the reducer's name.
     """
     if reducer == "none":
         return train, test, train.m, None
@@ -324,9 +307,7 @@ def _reduce(reducer, train, test, t, seed, cfg):
         k = min(t, train.n - 1)
         model = pca_fit(train, k)
         return pca_transform(model, train), pca_transform(model, test), k, None
-    if reducer == "grp":
-        return grp_transform(train, t, seed), grp_transform(test, t, seed), t, None
-    raise ConfigError(f"unknown reducer {reducer!r}")
+    return grp_transform(train, t, seed), grp_transform(test, t, seed), t, None
 
 
 def _detect(det_cfg, train_red, test_red, transductive):
@@ -367,55 +348,44 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     if save_dir is not None:
         save_dir.mkdir(parents=True, exist_ok=True)
     cells = []
-    cache: dict = {}
+    data = None
     for seed in cfg.seeds:
-        cell_id = f"dataset={cfg.dataset_name}, seed={seed}"
+        # the cell a failure is reported in: dataset, then reducer, then detector
+        where = cell_id = f"dataset={cfg.dataset_name}, seed={seed}"
         try:
-            data = _load_source(cfg, seed, cache)
+            if cfg.source == "synth":
+                data, _ = generate(replace(cfg.synth, seed=seed))
+            elif data is None:
+                data = load_csv(
+                    cfg.csv_path,
+                    label_column=cfg.label_column,
+                    positive_token=cfg.positive_token,
+                    negative_token=cfg.negative_token,
+                )
             pair = split(data, cfg.split_fraction, seed)
             train = normalize_minmax(pair.train)
             test = apply_normalization(pair.test, train.normalization)
             contamination = min(float(train.labels.mean()), 0.5)
             t = top_t(train.m, cfg.t_fraction)
-        except Exception as exc:
-            raise RunError(f"cell ({cell_id}): {exc}") from exc
-        for reducer in cfg.reducers:
-            try:
-                train_red, test_red, k_used, rank = _reduce(
-                    reducer, train, test, t, seed, cfg
-                )
+            for reducer in cfg.reducers:
+                where = f"{cell_id}, reducer={reducer}"
+                train_red, test_red, k_used, rank = _reduce(reducer, train, test, t, seed, cfg)
                 if save_dir is not None and rank is not None:
                     export_rank(rank, save_dir / f"outcentr_seed{seed}.csv")
-            except Exception as exc:
-                raise RunError(f"cell ({cell_id}, reducer={reducer}): {exc}") from exc
-            for detector in cfg.detectors:
-                try:
+                for detector in cfg.detectors:
+                    where = f"{cell_id}, reducer={reducer}, detector={detector}"
                     det_cfg = cfg.detector_config(detector, contamination, seed)
-                    result, fit_s, predict_s = _detect(
-                        det_cfg, train_red, test_red, cfg.transductive
+                    result, fit_s, predict_s = _detect(det_cfg, train_red, test_red, cfg.transductive)
+                    cells.append(
+                        CellResult(
+                            cfg.dataset_name, reducer, detector, seed, k_used,
+                            **vars(prf1(confusion(result.flags, test_red.labels))),
+                            auc=roc_auc(result.scores, test_red.labels),
+                            fit_seconds=fit_s, predict_seconds=predict_s,
+                        )
                     )
-                    counts = confusion(result.flags, test_red.labels)
-                    scored = prf1(counts)
-                    auc = roc_auc(result.scores, test_red.labels)
-                except Exception as exc:
-                    raise RunError(
-                        f"cell ({cell_id}, reducer={reducer}, detector={detector}): {exc}"
-                    ) from exc
-                cells.append(
-                    CellResult(
-                        dataset=cfg.dataset_name,
-                        reducer=reducer,
-                        detector=detector,
-                        seed=seed,
-                        k_used=k_used,
-                        f1=scored.f1,
-                        precision=scored.precision,
-                        recall=scored.recall,
-                        auc=auc,
-                        fit_seconds=fit_s,
-                        predict_seconds=predict_s,
-                    )
-                )
+        except Exception as exc:
+            raise RunError(f"cell ({where}): {exc}") from exc
     return ExperimentReport(cells=tuple(cells))
 
 
@@ -437,38 +407,25 @@ def emit_report(report: ExperimentReport, out_dir) -> tuple[Path, Path, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results_path = out_dir / "results.csv"
-    with results_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RESULT_COLUMNS)
-        for c in report.cells:
-            writer.writerow(
-                [
-                    c.dataset, c.reducer, c.detector, c.seed, c.k_used,
-                    f"{c.f1:.10g}", f"{c.precision:.10g}", f"{c.recall:.10g}",
-                    f"{c.auc:.10g}", f"{c.fit_seconds:.6f}", f"{c.predict_seconds:.6f}",
-                ]
-            )
-
-    timings_path = out_dir / "timings.csv"
-    with timings_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "reducer", "detector", "seed", "fit_seconds", "predict_seconds"])
-        for c in report.cells:
-            writer.writerow(
-                [c.dataset, c.reducer, c.detector, c.seed,
-                 f"{c.fit_seconds:.6f}", f"{c.predict_seconds:.6f}"]
-            )
+    rows = [
+        [c.dataset, c.reducer, c.detector, c.seed, c.k_used,
+         *(f"{v:.10g}" for v in (c.f1, c.precision, c.recall, c.auc)),
+         f"{c.fit_seconds:.6f}", f"{c.predict_seconds:.6f}"]
+        for c in report.cells
+    ]
+    results_path = write_rows(out_dir / "results.csv", _RESULT_COLUMNS, rows)
+    timing = itemgetter(0, 1, 2, 3, 9, 10)  # dataset, reducer, detector, seed and the timings
+    timings_path = write_rows(out_dir / "timings.csv", timing(_RESULT_COLUMNS), map(timing, rows))
 
     summary_path = out_dir / "summary.md"
     lines = ["# Experiment summary", ""]
-    rows = report.median_rows()
-    for dataset in dict.fromkeys(r["dataset"] for r in rows):
+    medians = report.median_rows()
+    for dataset in dict.fromkeys(r["dataset"] for r in medians):
         lines.append(f"## {dataset}")
         lines.append("")
         lines.append("| Model | F1 | Recall | Precision |")
         lines.append("|---|---|---|---|")
-        for r in rows:
+        for r in medians:
             if r["dataset"] != dataset:
                 continue
             model = r["detector"] if r["reducer"] == "none" else f"{r['detector']} ({r['reducer']})"

@@ -7,13 +7,18 @@ bad config file), 2 on a runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from dataclasses import replace
-from pathlib import Path
+from dataclasses import fields, replace
 
-from .bench import ConfigError, emit_report, load_run_config, load_synth_spec, run_experiment
-from .data import existing_file, is_integer_of_at_least, load_csv, normalize_minmax
+from .bench import (
+    ConfigError,
+    RunConfig,
+    emit_report,
+    load_run_config,
+    load_synth_spec,
+    run_experiment,
+)
+from .data import existing_file, is_integer_of_at_least, load_csv, normalize_minmax, write_rows
 from .ranking import (
     attribute_scores,
     compute_centroid,
@@ -35,14 +40,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="outcentr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="execute an experiment matrix from a config file")
+    # each override's dest is the RunConfig field it sets; a flag left out sets nothing
+    run = sub.add_parser("run", help="execute an experiment matrix from a config file",
+                         argument_default=argparse.SUPPRESS)
     run.add_argument("--config", required=True, help="run config file (INI grammar)")
-    run.add_argument("--seed", type=int, action="append", help="override config seeds (repeatable)")
+    run.add_argument("--seed", dest="seeds", metavar="SEED", type=int, action="append",
+                     help="override config seeds (repeatable)")
     run.add_argument("--t-fraction", type=float, help="override the selection fraction")
     run.add_argument("--transductive", action="store_true", help="threshold on the scored set itself")
     run.add_argument("--label-budget", type=float, help="fraction of labels used per class")
-    run.add_argument("--save-model", metavar="DIR", help="write each seed's outcentr rank CSV here")
-    run.add_argument("--out", help="override the output directory")
+    run.add_argument("--save-model", dest="save_model_dir", metavar="DIR",
+                     help="write each seed's outcentr rank CSV here")
+    run.add_argument("--out", dest="output_dir", metavar="OUT", help="override the output directory")
     run.set_defaults(handler=_cmd_run)
 
     synth = sub.add_parser("synth", help="generate a synthetic dataset from a spec file")
@@ -77,22 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_run_config(args.config)
-    updates = {}
-    if args.seed:
-        updates["seeds"] = tuple(args.seed)
-    if args.t_fraction is not None:
-        updates["t_fraction"] = args.t_fraction
-    if args.transductive:
-        updates["transductive"] = True
-    if args.label_budget is not None:
-        updates["label_budget"] = args.label_budget
-    if args.save_model:
-        updates["save_model_dir"] = args.save_model
-    if args.out:
-        updates["output_dir"] = args.out
-    if updates:
-        cfg = replace(cfg, **updates)
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name in args}
+    if "seeds" in overrides:
+        overrides["seeds"] = tuple(overrides["seeds"])
+    cfg = replace(load_run_config(args.config), **overrides)
     report = run_experiment(cfg)
     paths = emit_report(report, cfg.output_dir)
     for path in paths:
@@ -135,14 +132,14 @@ def _cmd_rank(args) -> int:
 
 def _write_attribute_scores(data, path, absolute: bool) -> None:
     vs_outlier, vs_inlier = (
-        attribute_scores(data, range(data.n), compute_centroid(data, rows), absolute)
+        attribute_scores(data, range(data.n), compute_centroid(data, rows), absolute).tolist()
         for rows in partition_labels(data)
     )
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["attribute", "score_vs_outlier_centroid", "score_vs_inlier_centroid"])
-        for name, a, b in zip(data.attribute_names, vs_outlier, vs_inlier):
-            writer.writerow([name, repr(float(a)), repr(float(b))])
+    write_rows(
+        path,
+        ["attribute", "score_vs_outlier_centroid", "score_vs_inlier_centroid"],
+        zip(data.attribute_names, map(repr, vs_outlier), map(repr, vs_inlier)),
+    )
 
 
 def _cmd_rank_diff(args) -> int:

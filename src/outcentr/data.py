@@ -326,23 +326,34 @@ def _load_csv_rows(path) -> tuple[list[str], list]:
     return header, list(zip(*rows)) or [()] * len(header)
 
 
-def write_csv(d: Dataset, path, label_column: str = "label") -> None:
-    """Write a dataset to CSV (UTF-8, header row, '.' decimal point).
+def write_rows(path, header, rows) -> Path:
+    """Write a header row, then ``rows``, as CSV; returns ``path`` as a Path.
 
-    Labels, when present, are appended as an extra integer column.
+    outcentr writes every CSV file here: UTF-8 without a byte-order mark and
+    ``csv.writer``'s default dialect, so each record ends in CRLF.
     """
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = list(d.attribute_names)
-        rows = d.values.tolist()
-        if d.labels is not None:
-            if label_column in header:
-                raise DataError(f"label column name {label_column!r} collides")
-            header.append(label_column)
-            rows = (row + [label] for row, label in zip(rows, d.labels.tolist()))
         writer.writerow(header)
         writer.writerows(rows)
+    return path
+
+
+def write_csv(d: Dataset, path, label_column: str = "label") -> None:
+    """Write a dataset to CSV (UTF-8, header row, '.' decimal point).
+
+    Labels, when present, are appended as an extra integer column; a label
+    name that collides with an attribute raises before the file is opened.
+    """
+    header = list(d.attribute_names)
+    rows = d.values.tolist()
+    if d.labels is not None:
+        if label_column in header:
+            raise DataError(f"label column name {label_column!r} collides")
+        header.append(label_column)
+        rows = (row + [label] for row, label in zip(rows, d.labels.tolist()))
+    write_rows(path, header, rows)
 
 
 def normalize_minmax(d: Dataset) -> Dataset:

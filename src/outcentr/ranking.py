@@ -19,12 +19,11 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .data import DataError, Dataset, existing_file
+from .data import DataError, Dataset, existing_file, write_rows
 
 
 @dataclass(frozen=True)
@@ -198,12 +197,14 @@ def transform(d: Dataset, rank: AttributeRank) -> Dataset:
 
 def export_rank(rank: AttributeRank, path) -> None:
     """Write a rank as CSV: rank, attribute, distinguishability_score, selected."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "attribute", "distinguishability_score", "selected"])
-        for position, (name, score) in enumerate(rank.entries, start=1):
-            writer.writerow([position, name, repr(score), int(position <= rank.t)])
+    write_rows(
+        path,
+        ["rank", "attribute", "distinguishability_score", "selected"],
+        (
+            [position, name, repr(score), int(position <= rank.t)]
+            for position, (name, score) in enumerate(rank.entries, start=1)
+        ),
+    )
 
 
 def load_rank(path) -> AttributeRank:
@@ -299,24 +300,15 @@ def rank_diff(path_a, path_b) -> tuple[RankDiffEntry, ...]:
 
 
 def write_rank_diff_csv(entries, path) -> None:
-    """Export a rank diff as CSV; absent sides are left empty."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["attribute", "rank_a", "rank_b", "score_a", "score_b",
-             "rank_delta", "selected_a", "selected_b"]
-        )
-        for e in entries:
-            writer.writerow(
-                [
-                    e.attribute,
-                    "" if e.rank_a is None else e.rank_a,
-                    "" if e.rank_b is None else e.rank_b,
-                    "" if e.score_a is None else repr(e.score_a),
-                    "" if e.score_b is None else repr(e.score_b),
-                    "" if e.rank_delta is None else e.rank_delta,
-                    "" if e.selected_a is None else int(e.selected_a),
-                    "" if e.selected_b is None else int(e.selected_b),
-                ]
-            )
+    """Export a rank diff as CSV, one column per field; absent sides are left empty."""
+
+    def cell(value):
+        if value is None:
+            return ""
+        return repr(value) if isinstance(value, float) else int(value)
+
+    write_rows(
+        path,
+        [f.name for f in fields(RankDiffEntry)],
+        ([e.attribute, *(cell(v) for v in astuple(e)[1:])] for e in entries),
+    )

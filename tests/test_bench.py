@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 import subprocess
@@ -20,7 +22,7 @@ from outcentr.bench import (
     run_experiment,
 )
 from outcentr.cli import main
-from outcentr.data import DataError, load_csv, normalize_minmax, write_csv
+from outcentr.data import DataError, Dataset, load_csv, normalize_minmax, write_csv
 from outcentr.detectors import DISTANCE_METRICS
 from outcentr.ranking import attribute_rank, export_rank, load_rank, rank_diff, write_rank_diff_csv
 from outcentr.synth import SynthSpec, generate
@@ -73,6 +75,65 @@ def test_every_reader_drops_a_byte_order_mark(tmp_path):
     for load, path in ((load_run_config, write_config(tmp_path)), (load_synth_spec, spec),
                        (load_rank, rank)):
         assert load(with_byte_order_mark(path)) == load(path), path.name
+
+
+# a name that csv.writer must quote, with its quotes doubled
+AWKWARD = 'a,"b"'
+
+
+def write_dataset(tmp_path):
+    path = tmp_path / "data.csv"
+    values = [[1.0, 2.0], [3.0, 4.0], [5.0, 1.0]]
+    write_csv(Dataset(values=values, attribute_names=(AWKWARD, "x"), labels=[0, 0, 1]), path)
+    return path
+
+
+def write_rank(tmp_path):
+    path = tmp_path / "rank.csv"
+    export_rank(attribute_rank([0.4, 0.9], (AWKWARD, "x"), t=1), path)
+    return path
+
+
+def write_rank_diff(tmp_path):
+    rank = write_rank(tmp_path)
+    write_rank_diff_csv(rank_diff(rank, rank), tmp_path / "diff.csv")
+    return tmp_path / "diff.csv"
+
+
+def write_report(tmp_path):
+    cfg = synth_run_config(tmp_path, dataset_name=AWKWARD, seeds=(0,), n_trees=5)
+    return emit_report(run_experiment(cfg), tmp_path / "out")
+
+
+def write_attribute_scores(tmp_path):
+    path = tmp_path / "scores.csv"
+    argv = ["rank", "--data", str(write_dataset(tmp_path)), "--label", "label",
+            "--out", str(tmp_path / "rank.csv"), "--scores-out", str(path)]
+    assert main(argv) == 0
+    return path
+
+
+WRITERS = {
+    "write_csv": write_dataset,
+    "export_rank": write_rank,
+    "write_rank_diff_csv": write_rank_diff,
+    "results.csv": lambda tmp_path: write_report(tmp_path)[0],
+    "timings.csv": lambda tmp_path: write_report(tmp_path)[2],
+    "rank --scores-out": write_attribute_scores,
+}
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_every_writer_uses_one_dialect(tmp_path, write):
+    """UTF-8 without a byte-order mark, CRLF after every record, and csv.writer's quoting."""
+    raw = write(tmp_path).read_bytes()
+    assert not raw.startswith(b"\xef\xbb\xbf")
+    rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
+    assert raw.count(b"\r\n") == raw.count(b"\n") == len(rows) > 1
+    assert raw.endswith(b"\r\n")
+    assert b'"a,""b"""' in raw
+    assert AWKWARD in (cell for row in rows for cell in row)
+    assert len({len(row) for row in rows}) == 1
 
 
 def synth_run_config(tmp_path, **overrides):
@@ -584,6 +645,24 @@ class TestCli:
             ]
         assert main(["rank-diff", str(rank_a), str(rank_b), "--out", str(tmp_path / "d.csv")]) == 0
         assert (tmp_path / "d.csv").exists()
+
+    def test_each_run_flag_acts_as_its_ini_key(self, tmp_path):
+        base = SYNTH_CONFIG.replace("reducers = none, outcentr, pca, grp", "reducers = none, outcentr")
+        flagged = write_config(tmp_path, text=base.replace("seeds = 0, 1", "seeds = 1"),
+                               out=tmp_path / "unused")
+        assert main(["run", "--config", str(flagged), "--seed", "3", "--t-fraction", "0.25",
+                     "--label-budget", "0.8", "--transductive", "--out", str(tmp_path / "flags")]) == 0
+        keyed = base.replace("seeds = 0, 1", "seeds = 3\nlabel_budget = 0.8\ntransductive = true")
+        keyed = write_config(tmp_path, text=keyed.replace("t_fraction = 0.10", "t_fraction = 0.25"),
+                             out=tmp_path / "keys")
+        assert main(["run", "--config", str(keyed)]) == 0
+
+        def columns(out):
+            lines = (out / "results.csv").read_bytes().splitlines()
+            return [b",".join(line.split(b",")[:9]) for line in lines]
+
+        assert columns(tmp_path / "flags") == columns(tmp_path / "keys")
+        assert not (tmp_path / "unused").exists()
 
     def test_reproducible_results_csv(self, tmp_path):
         small = SYNTH_CONFIG.replace("reducers = none, outcentr, pca, grp", "reducers = outcentr")

@@ -190,6 +190,14 @@ class TestLoadCsv:
         assert back.values.tobytes() == d.values.tobytes()
         assert np.array_equal(back.labels, d.labels)
 
+    def test_colliding_label_column_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"precious\n")
+        d = make_dataset([[1.0], [2.0]], labels=[0, 1], names=["label"])
+        with pytest.raises(DataError, match="label column name 'label' collides"):
+            write_csv(d, path)
+        assert path.read_bytes() == b"precious\n"
+
 
 def _row_wise_calls(monkeypatch):
     """A list that grows by one each time load_csv hands a file to its row-wise reader."""
