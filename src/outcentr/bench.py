@@ -343,13 +343,21 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     0.5). Any failure is re-raised tagged with its cell. With
     ``save_model_dir`` set, each seed's outcentr rank is exported there as
     ``outcentr_seed{seed}.csv``.
+
+    Through its cells a seed holds the normalized train/test pair and one
+    reduced pair. The raw split lives only until the normalized pair exists,
+    and the source dataset only until its last split: a synthetic source is
+    regenerated for every seed and dropped after that seed's split, while a
+    CSV file is read once and kept until the last seed's split. No matrix of
+    a seed outlives its cells.
     """
     save_dir = Path(cfg.save_model_dir) if cfg.save_model_dir else None
     if save_dir is not None:
         save_dir.mkdir(parents=True, exist_ok=True)
     cells = []
     data = None
-    for seed in cfg.seeds:
+    last = len(cfg.seeds) - 1
+    for i, seed in enumerate(cfg.seeds):
         # the cell a failure is reported in: dataset, then reducer, then detector
         where = cell_id = f"dataset={cfg.dataset_name}, seed={seed}"
         try:
@@ -363,8 +371,11 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
                     negative_token=cfg.negative_token,
                 )
             pair = split(data, cfg.split_fraction, seed)
+            if cfg.source == "synth" or i == last:
+                data = None  # no later seed splits this source
             train = normalize_minmax(pair.train)
             test = apply_normalization(pair.test, train.normalization)
+            del pair  # the normalized pair replaces the raw split
             contamination = min(float(train.labels.mean()), 0.5)
             t = top_t(train.m, cfg.t_fraction)
             for reducer in cfg.reducers:
@@ -384,6 +395,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
                             fit_seconds=fit_s, predict_seconds=predict_s,
                         )
                     )
+            del train, test, train_red, test_red  # before the next seed's data exists
         except Exception as exc:
             raise RunError(f"cell ({where}): {exc}") from exc
     return ExperimentReport(cells=tuple(cells))

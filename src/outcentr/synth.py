@@ -90,14 +90,17 @@ def generate(spec: SynthSpec) -> tuple[Dataset, tuple[int, ...]]:
     noise = rng.standard_normal((n, m - d_inf))
 
     # column j is column col_perm[j] of [informative, noise], row i is row
-    # row_perm[i]: one gather from each block, into one array
+    # row_perm[i]: one column gather at a time, so no block-sized temporary
     col_perm = rng.permutation(m)
     row_perm = rng.permutation(n)
-    is_informative = col_perm < d_inf
     values = np.empty((n, m))
-    values[:, is_informative] = informative[np.ix_(row_perm, col_perm[is_informative])]
-    values[:, ~is_informative] = noise[np.ix_(row_perm, col_perm[~is_informative] - d_inf)]
-    informative_positions = tuple(int(j) for j in np.flatnonzero(is_informative))
+    for j, source in enumerate(col_perm.tolist()):
+        if source < d_inf:
+            values[:, j] = informative[row_perm, source]
+        else:
+            values[:, j] = noise[row_perm, source - d_inf]
+    del informative, noise
+    informative_positions = tuple(int(j) for j in np.flatnonzero(col_perm < d_inf))
 
     names = tuple(f"a{j + 1}" for j in range(m))
     dataset = Dataset(values=values, attribute_names=names, labels=labels[row_perm])

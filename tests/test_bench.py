@@ -1,9 +1,11 @@
 import csv
+import gc
 import io
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +147,26 @@ def synth_run_config(tmp_path, **overrides):
         detectors=("iforest",),
         seeds=(0, 1),
         n_trees=30,
+        output_dir=str(tmp_path / "results"),
+    )
+    defaults.update(overrides)
+    return RunConfig(**defaults)
+
+
+def csv_run_config(tmp_path, **overrides):
+    """A CSV-source config over synth_run_config's data, written to toy.csv."""
+    csv_path = tmp_path / "toy.csv"
+    write_csv(generate(SynthSpec(n=240, m=20, contamination=0.1, n_informative=4))[0], csv_path)
+    defaults = dict(
+        source="csv",
+        dataset_name="toy",
+        csv_path=str(csv_path),
+        label_column="label",
+        reducers=("none", "outcentr"),
+        detectors=("iforest", "lof"),
+        seeds=(0, 1),
+        n_trees=30,
+        k_neighbors=10,
         output_dir=str(tmp_path / "results"),
     )
     defaults.update(overrides)
@@ -316,6 +338,90 @@ class TestRunExperiment:
         )
         with pytest.raises(RunError, match="seed=5.*detector=lof"):
             run_experiment(cfg)
+
+    @staticmethod
+    def liveness_at_each_fit(monkeypatch, cfg):
+        """Per detector fit: the number of splits so far and, for each split,
+        whether its input and its two halves are still alive."""
+        splits, seen = [], []
+        real_split = bench.split
+
+        def tracking_split(d, fraction, seed):
+            pair = real_split(d, fraction, seed)
+            splits.append((weakref.ref(d), weakref.ref(pair.train), weakref.ref(pair.test)))
+            return pair
+
+        def checked(fit):
+            def wrapper(*args):
+                gc.collect()
+                seen.append((len(splits), [[r() is not None for r in refs] for refs in splits]))
+                return fit(*args)
+            return wrapper
+
+        monkeypatch.setattr(bench, "split", tracking_split)
+        monkeypatch.setattr(bench, "iforest_fit", checked(bench.iforest_fit))
+        monkeypatch.setattr(bench, "lof_fit", checked(bench.lof_fit))
+        run_experiment(cfg)
+        return seen
+
+    def test_synth_run_frees_the_source_and_the_raw_split_before_any_fit(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = synth_run_config(tmp_path, detectors=("iforest", "lof"), k_neighbors=10)
+        seen = self.liveness_at_each_fit(monkeypatch, cfg)
+        assert [n for n, _ in seen] == [1] * 4 + [2] * 4
+        for n, alive in seen:
+            assert alive == [[False, False, False]] * n
+
+    def test_no_normalized_pair_outlives_its_seed(self, tmp_path, monkeypatch):
+        normalized, live_at_split = [], []
+
+        def recording(fn):
+            def wrapper(*args):
+                out = fn(*args)
+                normalized.append(weakref.ref(out))
+                return out
+            return wrapper
+
+        def checked_split(*args):
+            gc.collect()
+            live_at_split.append(sum(r() is not None for r in normalized))
+            return real_split(*args)
+
+        real_split = bench.split
+        monkeypatch.setattr(bench, "split", checked_split)
+        monkeypatch.setattr(bench, "normalize_minmax", recording(bench.normalize_minmax))
+        monkeypatch.setattr(bench, "apply_normalization", recording(bench.apply_normalization))
+        run_experiment(synth_run_config(tmp_path, seeds=(0, 1, 2)))
+        assert len(normalized) == 6
+        assert live_at_split == [0, 0, 0]
+
+    def test_csv_run_keeps_the_source_until_its_last_split(self, tmp_path, monkeypatch):
+        seen = self.liveness_at_each_fit(monkeypatch, csv_run_config(tmp_path))
+        assert [n for n, _ in seen] == [1] * 4 + [2] * 4
+        for n, alive in seen:
+            # one Dataset feeds both splits: alive through seed 0, dead during seed 1
+            assert alive == [[n == 1, False, False]] * n
+
+    def test_csv_run_reads_its_file_once_for_all_seeds(self, tmp_path, monkeypatch):
+        loads = []
+
+        def counting_load(*args, **kwargs):
+            loads.append(args)
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "load_csv", counting_load)
+
+        def columns_1_to_9(seeds, out):
+            cfg = csv_run_config(tmp_path, reducers=("none", "outcentr", "grp"), seeds=seeds,
+                                 output_dir=str(tmp_path / out))
+            results, _, _ = emit_report(run_experiment(cfg), cfg.output_dir)
+            return [line.split(",")[:9] for line in results.read_text().splitlines()]
+
+        together = columns_1_to_9((3, 1, 2), "together")
+        assert len(loads) == 1
+        apart = [columns_1_to_9((seed,), f"seed{seed}") for seed in (3, 1, 2)]
+        assert together == apart[0][:1] + [row for rows in apart for row in rows[1:]]
 
 
 def subsets(items):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,20 @@ class TestGenerate:
         assert data.values.tobytes() == values.tobytes()
         assert data.labels.tobytes() == labels.tobytes()
         assert informative == positions
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_holds_two_matrices_at_its_peak(self, seed):
+        """The values and the Dataset's copy of them: the blocks and every
+        gather temporary are gone before the copy is made."""
+        spec = SynthSpec(n=1000, m=200, contamination=0.05, seed=seed)
+        generate(spec)  # first-call allocations of numpy are not generate's
+        tracemalloc.start()
+        try:
+            data, _ = generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * data.values.nbytes
 
     def test_different_seed_differs(self):
         a, _ = generate(SynthSpec(n=200, m=20, contamination=0.1, seed=1))
