@@ -22,7 +22,6 @@ from .bench import (
 from .data import (
     DataError,
     Dataset,
-    SplitPair,
     apply_normalization,
     encode_categoricals,
     load_csv,

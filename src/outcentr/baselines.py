@@ -58,9 +58,8 @@ def pca_fit(train: Dataset, k: int) -> PcaModel:
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     components = eigenvectors[:, ::-1][:, :k].T.copy()
     variance = np.clip(eigenvalues[::-1][:k], 0.0, None)
-    for row in components:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1.0
+    lead = components[np.arange(k), np.abs(components).argmax(axis=1)]
+    components *= np.where(lead < 0, -1.0, 1.0)[:, None]
     return PcaModel(mean=mean, components=components, explained_variance=variance)
 
 

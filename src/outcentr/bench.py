@@ -345,7 +345,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     ``outcentr_seed{seed}.csv``.
 
     Through its cells a seed holds the normalized train/test pair and one
-    reduced pair. The raw split lives only until the normalized pair exists,
+    reduced pair. Each raw half lives only until its normalized half exists,
     and the source dataset only until its last split: a synthetic source is
     regenerated for every seed and dropped after that seed's split, while a
     CSV file is read once and kept until the last seed's split. No matrix of
@@ -370,12 +370,12 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
                     positive_token=cfg.positive_token,
                     negative_token=cfg.negative_token,
                 )
-            pair = split(data, cfg.split_fraction, seed)
+            train, test = split(data, cfg.split_fraction, seed)
             if cfg.source == "synth" or i == last:
                 data = None  # no later seed splits this source
-            train = normalize_minmax(pair.train)
-            test = apply_normalization(pair.test, train.normalization)
-            del pair  # the normalized pair replaces the raw split
+            # rebinding each name drops its raw half
+            train = normalize_minmax(train)
+            test = apply_normalization(test, train.normalization)
             contamination = min(float(train.labels.mean()), 0.5)
             t = top_t(train.m, cfg.t_fraction)
             for reducer in cfg.reducers:

@@ -1,8 +1,9 @@
 """Tabular dataset loading, encoding, min-max scaling, and stratified splitting.
 
-Every other module consumes the :class:`Dataset` container defined here. All
-containers are immutable after construction (arrays are marked read-only), so
-they are safe to share across threads.
+Every other module consumes the :class:`Dataset` container defined here;
+:func:`split` hands back a plain (train, test) tuple of them. A Dataset is
+immutable after construction (its arrays are marked read-only), so it is
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -109,24 +110,6 @@ class Dataset:
             return self.attribute_names.index(name)
         except ValueError:
             raise DataError(f"unknown attribute {name!r}") from None
-
-    def take_rows(self, rows) -> Dataset:
-        """New dataset restricted to the given row indices (order preserved)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        return replace(
-            self,
-            values=self.values[rows],
-            labels=None if self.labels is None else self.labels[rows],
-        )
-
-
-@dataclass(frozen=True)
-class SplitPair:
-    """A train/test partition of one dataset, tagged with the seed that made it."""
-
-    train: Dataset
-    test: Dataset
-    seed: int
 
 
 def encode_categoricals(raw) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -387,12 +370,13 @@ def apply_normalization(d: Dataset, state) -> Dataset:
     return replace(d, values=scaled, normalization=state)
 
 
-def split(d: Dataset, train_fraction: float, seed: int) -> SplitPair:
-    """Stratified shuffle split into train and test parts.
+def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Stratified shuffle split into a (train, test) pair of datasets.
 
     Outlier and inlier rows are shuffled and divided separately so both parts
     keep the class ratio within one row, and each part receives at least one
-    row of each class. Deterministic given the seed.
+    row of each class. Each part keeps the source's row order. Deterministic
+    given the seed.
     """
     if not 0.0 < train_fraction < 1.0:
         raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -409,6 +393,6 @@ def split(d: Dataset, train_fraction: float, seed: int) -> SplitPair:
         n_train = min(max(n_train, 1), idx.size - 1)
         train_parts.append(perm[:n_train])
         test_parts.append(perm[n_train:])
-    train_rows = np.sort(np.concatenate(train_parts))
-    test_rows = np.sort(np.concatenate(test_parts))
-    return SplitPair(train=d.take_rows(train_rows), test=d.take_rows(test_rows), seed=seed)
+    halves = (np.sort(np.concatenate(parts)) for parts in (train_parts, test_parts))
+    train, test = (replace(d, values=d.values[rows], labels=d.labels[rows]) for rows in halves)
+    return train, test

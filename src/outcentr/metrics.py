@@ -53,25 +53,14 @@ def prf1(c: Confusion) -> MetricSet:
     return MetricSet(precision=precision, recall=recall, f1=f1)
 
 
-def _fractional_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean rank of their group."""
-    order = np.argsort(x, kind="stable")
-    sorted_x = x[order]
-    new_group = np.r_[True, sorted_x[1:] != sorted_x[:-1]]
-    group = np.cumsum(new_group) - 1
-    counts = np.bincount(group)
-    firsts = np.r_[0, np.cumsum(counts)[:-1]]
-    mean_rank = firsts + (counts + 1) / 2.0
-    ranks = np.empty(x.shape[0], dtype=np.float64)
-    ranks[order] = mean_rank[group]
-    return ranks
-
-
 def roc_auc(scores, labels) -> float:
     """Probability that a random positive outscores a random negative.
 
     Ties count one half, which makes this the trapezoidal area under the ROC
-    curve. Computed by rank sums in O(n log n).
+    curve. It is the Mann-Whitney U over n_pos * n_neg, counted per group of
+    tied scores in O(n log n): each positive beats every negative of a lower
+    group and ties with each negative of its own. Twice U is an integer, so
+    the only rounding is the final division.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -81,6 +70,7 @@ def roc_auc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc needs at least one positive and one negative label")
-    ranks = _fractional_ranks(scores)
-    pos_rank_sum = ranks[labels == 1].sum()
-    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    levels, group = np.unique(scores, return_inverse=True)
+    pos, neg = (np.bincount(group[labels == c], minlength=levels.size) for c in (1, 0))
+    wins = pos @ (2 * (np.cumsum(neg) - neg) + neg)  # twice U: a win counts 2, a tie 1
+    return float(wins / (2 * n_pos * n_neg))

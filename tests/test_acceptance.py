@@ -190,7 +190,8 @@ def test_criterion_4_informative_attribute_recovery():
     hits = []
     for seed in range(10):
         data, informative = oc.generate(replace(SEPARATED_SPEC, seed=seed))
-        train = oc.normalize_minmax(oc.split(data, 0.8, seed=seed).train)
+        train, _ = oc.split(data, 0.8, seed=seed)
+        train = oc.normalize_minmax(train)
         rank = oc.fit_reducer(train, t_fraction=0.10)
         selected = {train.index_of(name) for name in rank.selected}
         hits.append(len(selected & set(informative)))
@@ -209,9 +210,9 @@ def test_criterion_5_f1_uplift():
     f1 = {"none": [], "outcentr": [], "grp": []}
     for seed in range(10):
         data, _ = oc.generate(replace(SEPARATED_SPEC, seed=seed))
-        pair = oc.split(data, 0.8, seed=seed)
-        train = oc.normalize_minmax(pair.train)
-        test = oc.apply_normalization(pair.test, train.normalization)
+        train, test = oc.split(data, 0.8, seed=seed)
+        train = oc.normalize_minmax(train)
+        test = oc.apply_normalization(test, train.normalization)
         t = oc.top_t(train.m, 0.10)
         rank = oc.fit_reducer(train, t_fraction=0.10, seed=seed)
         variants = {
@@ -295,9 +296,9 @@ def test_criterion_8_timing_direction():
     spec = oc.SynthSpec(n=2000, m=500, contamination=0.05, n_informative=50,
                         separation=4.0, seed=8)
     data, _ = oc.generate(spec)
-    pair = oc.split(data, 0.8, seed=8)
-    train = oc.normalize_minmax(pair.train)
-    test = oc.apply_normalization(pair.test, train.normalization)
+    train, test = oc.split(data, 0.8, seed=8)
+    train = oc.normalize_minmax(train)
+    test = oc.apply_normalization(test, train.normalization)
     rank = oc.fit_reducer(train, t_fraction=0.10)
     train_red, test_red = oc.transform(train, rank), oc.transform(test, rank)
     cfg = oc.DetectorConfig(

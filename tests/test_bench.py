@@ -55,6 +55,15 @@ k_neighbors = 10
 """
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
+def untimed_columns(out_dir) -> bytes:
+    """Columns 1-9 of a run's results.csv (all but the timings), one LF-ended line per row."""
+    lines = (Path(out_dir) / "results.csv").read_bytes().splitlines()
+    return b"".join(b",".join(line.split(b",")[:9]) + b"\n" for line in lines)
+
+
 def write_config(tmp_path, text=None, **fmt):
     path = tmp_path / "run.ini"
     fmt.setdefault("out", str(tmp_path / "results"))
@@ -347,9 +356,9 @@ class TestRunExperiment:
         real_split = bench.split
 
         def tracking_split(d, fraction, seed):
-            pair = real_split(d, fraction, seed)
-            splits.append((weakref.ref(d), weakref.ref(pair.train), weakref.ref(pair.test)))
-            return pair
+            train, test = real_split(d, fraction, seed)
+            splits.append((weakref.ref(d), weakref.ref(train), weakref.ref(test)))
+            return train, test
 
         def checked(fit):
             def wrapper(*args):
@@ -762,12 +771,7 @@ class TestCli:
         keyed = write_config(tmp_path, text=keyed.replace("t_fraction = 0.10", "t_fraction = 0.25"),
                              out=tmp_path / "keys")
         assert main(["run", "--config", str(keyed)]) == 0
-
-        def columns(out):
-            lines = (out / "results.csv").read_bytes().splitlines()
-            return [b",".join(line.split(b",")[:9]) for line in lines]
-
-        assert columns(tmp_path / "flags") == columns(tmp_path / "keys")
+        assert untimed_columns(tmp_path / "flags") == untimed_columns(tmp_path / "keys")
         assert not (tmp_path / "unused").exists()
 
     def test_reproducible_results_csv(self, tmp_path):
@@ -775,12 +779,7 @@ class TestCli:
         config = write_config(tmp_path, text=small, out=tmp_path / "r1")
         assert main(["run", "--config", str(config)]) == 0
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "r2")]) == 0
-
-        def stable(path):
-            lines = path.read_text().splitlines()
-            return [",".join(line.split(",")[:9]) for line in lines]
-
-        assert stable(tmp_path / "r1" / "results.csv") == stable(tmp_path / "r2" / "results.csv")
+        assert untimed_columns(tmp_path / "r1") == untimed_columns(tmp_path / "r2")
 
     def test_results_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # Large enough for BLAS to split its products over threads: at this
@@ -798,8 +797,7 @@ class TestCli:
                        OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
             subprocess.run([sys.executable, "-m", "outcentr", "run", "--config", str(config)],
                            env=env, check=True, capture_output=True, timeout=300)
-            lines = (out / "results.csv").read_bytes().splitlines()
-            columns.append([b",".join(line.split(b",")[:9]) for line in lines])
+            columns.append(untimed_columns(out))
         assert columns[0] == columns[1]
 
     def test_results_match_golden_file(self, tmp_path):
@@ -819,6 +817,19 @@ class TestCli:
             "[lof]\nk_neighbors = 10\n"
         )
         assert main(["run", "--config", str(config)]) == 0
-        lines = (tmp_path / "r" / "results.csv").read_bytes().splitlines()
-        columns = b"".join(b",".join(line.split(b",")[:9]) + b"\n" for line in lines)
-        assert columns == (Path(__file__).parent / "data" / "golden_results.csv").read_bytes()
+        assert untimed_columns(tmp_path / "r") == (GOLDEN / "golden_results.csv").read_bytes()
+
+    def test_csv_run_matches_golden_files(self, tmp_path, monkeypatch):
+        # tests/data/golden_csv.ini: a CSV source with a text column, Manhattan
+        # LOF, transductive thresholds, label_budget = 0.5, t_fraction = 0.2.
+        # A change that alters these outputs on purpose regenerates both
+        # goldens, from tests/data, with
+        #   PYTHONPATH=../../src python -m outcentr run --config golden_csv.ini --out OUT
+        #   cut -d, -f1-9 OUT/results.csv > golden_csv_results.csv
+        #   cp OUT/summary.md golden_csv_summary.md
+        # and says why in CHANGES.md.
+        monkeypatch.chdir(GOLDEN)
+        assert main(["run", "--config", "golden_csv.ini", "--out", str(tmp_path)]) == 0
+        assert untimed_columns(tmp_path) == (GOLDEN / "golden_csv_results.csv").read_bytes()
+        summary = (tmp_path / "summary.md").read_bytes()
+        assert summary == (GOLDEN / "golden_csv_summary.md").read_bytes()

@@ -459,18 +459,18 @@ class TestSplit:
         labels = np.zeros(100, dtype=int)
         labels[:5] = 1
         d = make_dataset(np.arange(200).reshape(100, 2), labels=labels)
-        pair = split(d, 0.8, seed=3)
-        assert pair.train.n == 80 and pair.test.n == 20
-        assert int(pair.train.labels.sum()) == 4
-        assert int(pair.test.labels.sum()) == 1
+        train, test = split(d, 0.8, seed=3)
+        assert train.n == 80 and test.n == 20
+        assert int(train.labels.sum()) == 4
+        assert int(test.labels.sum()) == 1
 
     def test_deterministic(self):
         labels = np.r_[np.ones(6, dtype=int), np.zeros(34, dtype=int)]
         d = make_dataset(np.random.default_rng(0).normal(size=(40, 3)), labels=labels)
-        a = split(d, 0.8, seed=42)
-        b = split(d, 0.8, seed=42)
-        assert np.array_equal(a.train.values, b.train.values)
-        assert np.array_equal(a.test.values, b.test.values)
+        a_train, a_test = split(d, 0.8, seed=42)
+        b_train, b_test = split(d, 0.8, seed=42)
+        assert np.array_equal(a_train.values, b_train.values)
+        assert np.array_equal(a_test.values, b_test.values)
 
     def test_partition_covers_source(self):
         rng = np.random.default_rng(9)
@@ -479,10 +479,10 @@ class TestSplit:
             labels = np.zeros(n, dtype=int)
             labels[: max(2, n // 8)] = 1
             d = make_dataset(rng.normal(size=(n, 2)), labels=labels)
-            pair = split(d, float(rng.uniform(0.2, 0.9)), seed=seed)
-            merged = np.vstack([pair.train.values, pair.test.values])
+            train, test = split(d, float(rng.uniform(0.2, 0.9)), seed=seed)
+            merged = np.vstack([train.values, test.values])
             assert sorted(map(tuple, merged)) == sorted(map(tuple, d.values))
-            assert pair.train.n + pair.test.n == n
+            assert train.n + test.n == n
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -494,18 +494,18 @@ class TestSplit:
     def test_each_class_keeps_its_ratio_within_one_row(self, n_out, n_in, fraction, seed):
         labels = np.r_[np.ones(n_out, dtype=int), np.zeros(n_in, dtype=int)]
         d = make_dataset(np.arange(n_out + n_in)[:, None], labels=labels)
-        pair = split(d, fraction, seed=seed)
+        train, test = split(d, fraction, seed=seed)
         for cls, size in ((1, n_out), (0, n_in)):
-            in_train = int((pair.train.labels == cls).sum())
+            in_train = int((train.labels == cls).sum())
             assert abs(in_train - fraction * size) <= 1
             assert 1 <= in_train <= size - 1
-            assert in_train + int((pair.test.labels == cls).sum()) == size
+            assert in_train + int((test.labels == cls).sum()) == size
 
     def test_each_class_in_both_parts(self):
         labels = np.r_[np.ones(2, dtype=int), np.zeros(8, dtype=int)]
         d = make_dataset(np.arange(10)[:, None], labels=labels)
-        pair = split(d, 0.9, seed=0)
-        assert 1 in pair.train.labels and 1 in pair.test.labels
+        train, test = split(d, 0.9, seed=0)
+        assert 1 in train.labels and 1 in test.labels
 
     def test_requires_labels(self):
         with pytest.raises(DataError, match="labels"):

@@ -105,3 +105,18 @@ class TestRocAuc:
         assert roc_auc(scores.astype(float), labels) == pytest.approx(
             pairwise_auc(scores, labels), abs=1e-12
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_exact_pair_count(self, data):
+        # Small integer scores tie often. U is counted pair by pair in Python
+        # integers (a win 2, a tie 1, so 2U), and the two quotients must be
+        # the same float: both are one correctly rounded division of 2U.
+        n = data.draw(st.integers(2, 60), label="n")
+        scores = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n), label="scores")
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="labels")
+        labels[:2] = (0, 1)
+        pos = [s for s, y in zip(scores, labels) if y == 1]
+        neg = [s for s, y in zip(scores, labels) if y == 0]
+        twice_u = sum((p > q) * 2 + (p == q) for p in pos for q in neg)
+        assert roc_auc(scores, labels) == twice_u / (2 * len(pos) * len(neg))

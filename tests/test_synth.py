@@ -126,9 +126,9 @@ class TestGenerate:
 
     def test_plays_well_with_split(self):
         data, _ = generate(SynthSpec(n=400, m=10, contamination=0.05, seed=3))
-        pair = split(data, 0.8, seed=3)
-        assert int(pair.train.labels.sum()) == 16
-        assert int(pair.test.labels.sum()) == 4
+        train, test = split(data, 0.8, seed=3)
+        assert int(train.labels.sum()) == 16
+        assert int(test.labels.sum()) == 4
 
 
 def test_save_synth_writes_csv_and_sidecar(tmp_path):
