@@ -18,7 +18,7 @@ from __future__ import annotations
 import configparser
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import itemgetter
 from pathlib import Path
 
@@ -293,21 +293,21 @@ class ExperimentReport:
 
 
 def _reduce(reducer, train, test, t, seed, cfg):
-    """Fit one reducer on train, apply to both parts; returns (train', test', k, rank).
+    """Fit one reducer on train, apply to both parts; returns (train', test', rank).
 
-    ``rank`` is the fitted :class:`AttributeRank` for outcentr and None
-    otherwise. :class:`RunConfig` has checked the reducer's name.
+    The reduced parts' width is the reducer's k. ``rank`` is the fitted
+    :class:`AttributeRank` for outcentr and None otherwise.
+    :class:`RunConfig` has checked the reducer's name.
     """
     if reducer == "none":
-        return train, test, train.m, None
+        return train, test, None
     if reducer == "outcentr":
         rank = fit_reducer(train, ratio=cfg.label_budget, t_fraction=cfg.t_fraction, seed=seed)
-        return transform(train, rank), transform(test, rank), rank.t, rank
+        return transform(train, rank), transform(test, rank), rank
     if reducer == "pca":
-        k = min(t, train.n - 1)
-        model = pca_fit(train, k)
-        return pca_transform(model, train), pca_transform(model, test), k, None
-    return grp_transform(train, t, seed), grp_transform(test, t, seed), t, None
+        model = pca_fit(train, min(t, train.n - 1))
+        return pca_transform(model, train), pca_transform(model, test), None
+    return grp_transform(train, t, seed), grp_transform(test, t, seed), None
 
 
 def _detect(det_cfg, train_red, test_red, transductive):
@@ -380,7 +380,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
             t = top_t(train.m, cfg.t_fraction)
             for reducer in cfg.reducers:
                 where = f"{cell_id}, reducer={reducer}"
-                train_red, test_red, k_used, rank = _reduce(reducer, train, test, t, seed, cfg)
+                train_red, test_red, rank = _reduce(reducer, train, test, t, seed, cfg)
                 if save_dir is not None and rank is not None:
                     export_rank(rank, save_dir / f"outcentr_seed{seed}.csv")
                 for detector in cfg.detectors:
@@ -389,7 +389,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
                     result, fit_s, predict_s = _detect(det_cfg, train_red, test_red, cfg.transductive)
                     cells.append(
                         CellResult(
-                            cfg.dataset_name, reducer, detector, seed, k_used,
+                            cfg.dataset_name, reducer, detector, seed, train_red.m,
                             **vars(prf1(confusion(result.flags, test_red.labels))),
                             auc=roc_auc(result.scores, test_red.labels),
                             fit_seconds=fit_s, predict_seconds=predict_s,
@@ -401,10 +401,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     return ExperimentReport(cells=tuple(cells))
 
 
-_RESULT_COLUMNS = (
-    "dataset", "reducer", "detector", "seed", "k_used",
-    "f1", "precision", "recall", "auc", "fit_seconds", "predict_seconds",
-)
+_RESULT_COLUMNS = tuple(f.name for f in fields(CellResult))
 
 
 def emit_report(report: ExperimentReport, out_dir) -> tuple[Path, Path, Path]:

@@ -38,8 +38,9 @@ explicit differences: the results are those of a dense float64 search, bit
 for bit. Manhattan distances are summed one column at a time inside the
 same row block. Repeated query rows are scored once. Neighbor lists are
 stored flat (CSR) and reduced with ``np.bincount``. A fitted
-:class:`LofModel` holds its training :class:`~outcentr.data.Dataset` as the
-reference set, not a copy of its rows.
+:class:`LofModel` holds the distinct training rows, with their copy counts,
+k-distances and densities, one of each per distinct row; without duplicates
+its reference set is the training values themselves, not a copy.
 """
 
 from __future__ import annotations
@@ -189,9 +190,6 @@ class _PackedForest:
     roots: np.ndarray
     subsample_size: int
 
-    def __post_init__(self):
-        freeze_fields(self, "feature", "cut", "child", "leaf_value", "roots", dtype=None)
-
     def path_lengths(self, x: np.ndarray) -> np.ndarray:
         """Mean path length E[h(row)] over the trees, for every row of x.
 
@@ -281,7 +279,7 @@ class IsolationForestModel(_PackedForest):
     threshold: float
 
     def __post_init__(self):
-        super().__post_init__()
+        freeze_fields(self, "feature", "cut", "child", "leaf_value", "roots", dtype=None)
         freeze_fields(self, "train_scores")
 
 
@@ -495,13 +493,13 @@ def _pair_distances(query: np.ndarray, ref: np.ndarray, rows: np.ndarray, cols: 
 def _distinct_rows(x: np.ndarray):
     """Group the identical rows of x, in order of first appearance.
 
-    Returns the index of each distinct row's first copy (ascending), the
-    number of copies of each distinct row, and the distinct row of every row
-    of x. Rows are merged only when they are equal in every byte. A key per
-    row, the sum of the row times one fixed vector, is the same for identical
-    rows, since every row is reduced the same way; only rows whose key
-    repeats are compared byte by byte, so data without duplicates costs one
-    pass and a sort of n keys.
+    Returns the distinct rows (x itself, not a copy, when no row repeats),
+    the number of copies of each, and the distinct row of every row of x, so
+    that ``rows[inverse]`` equals x. Rows are merged only when they are equal
+    in every byte. A key per row, the sum of the row times one fixed vector,
+    is the same for identical rows, since every row is reduced the same way;
+    only rows whose key repeats are compared byte by byte, so data without
+    duplicates costs one pass and a sort of n keys.
     """
     n, m = x.shape
     key = (x * np.random.default_rng(0).uniform(1.0, 2.0, m)).sum(axis=1)
@@ -514,12 +512,8 @@ def _distinct_rows(x: np.ndarray):
         label[suspects] = suspects[first[group.ravel()]]
     is_first = label == np.arange(n)
     inverse = (np.cumsum(is_first) - 1)[label]
-    return np.flatnonzero(is_first), np.bincount(inverse), inverse
-
-
-def _take_rows(x: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """x[index] for an ascending row index; x itself, not a copy, when it takes every row."""
-    return x if index.size == x.shape[0] else x[index]
+    copies = np.bincount(inverse)
+    return (x if copies.size == n else x[is_first]), copies, inverse
 
 
 def _row_kth(rows: np.ndarray, values: np.ndarray, copies: np.ndarray, n_rows: int, k: int):
@@ -686,15 +680,14 @@ def _local_reachability_density(nb: _Neighborhoods, kdist_ref: np.ndarray) -> np
 
 @dataclass(frozen=True)
 class LofModel:
-    """LOF statistics of the training Dataset (``reference``, not a copy) for unseen rows.
+    """LOF statistics of the distinct training rows ``ref``, for scoring unseen rows.
 
-    ``kdist``, ``lrd`` and ``train_scores`` hold one value per training row.
-    ``distinct`` indexes the first copy of each distinct training row and
-    ``copies`` counts its copies: the weighted points that scoring uses.
+    ``ref`` (the training values themselves when no row repeats, not a copy)
+    and ``copies`` are the weighted points that scoring uses. ``kdist`` and
+    ``lrd`` hold one value per distinct row, ``train_scores`` one per training row.
     """
 
-    reference: Dataset
-    distinct: np.ndarray
+    ref: np.ndarray
     copies: np.ndarray
     kdist: np.ndarray
     lrd: np.ndarray
@@ -703,7 +696,8 @@ class LofModel:
     config: DetectorConfig
 
     def __post_init__(self):
-        freeze_fields(self, "distinct", "copies", dtype=np.int64)
+        self.ref.setflags(write=False)
+        freeze_fields(self, "copies", dtype=np.int64)
         freeze_fields(self, "kdist", "lrd", "train_scores")
 
 
@@ -724,26 +718,26 @@ def lof_fit(train: Dataset, cfg: DetectorConfig) -> LofModel:
     A row's LOF is the mean density of its neighbors (the other training
     rows) over its own. It is computed once per distinct row, with each
     distinct row weighted by its copies (_distinct_rows), and every copy
-    gets that value. Distances follow ``cfg.metric``, here and in
-    :func:`lof_score`. The stored threshold is the (1 - contamination)
-    quantile of the training LOF values, one per training row.
+    gets that value. The model keeps the distinct rows, their copies,
+    k-distances and densities as computed, and the LOF of every training
+    row. Distances follow ``cfg.metric``, here and in :func:`lof_score`. The
+    stored threshold is the (1 - contamination) quantile of the training
+    LOF values, one per training row.
     """
     if cfg.kind != "lof":
         raise DataError(f"config is for {cfg.kind!r}, not lof")
     k = cfg.k_neighbors
     if train.n <= k:
         raise DataError(f"LOF needs more rows than neighbors: n={train.n}, k={k}")
-    distinct, copies, inverse = _distinct_rows(train.values)
-    ref = _take_rows(train.values, distinct)
+    ref, copies, inverse = _distinct_rows(train.values)
     nb = _neighborhoods(ref, ref, copies, k, cfg.metric, exclude_self=True)
     lrd = _local_reachability_density(nb, nb.kdist)
     lof = (nb.row_mean(lrd[nb.indices]) / lrd)[inverse]
     return LofModel(
-        reference=train,
-        distinct=distinct,
+        ref=ref,
         copies=copies,
-        kdist=nb.kdist[inverse],
-        lrd=lrd[inverse],
+        kdist=nb.kdist,
+        lrd=lrd,
         train_scores=lof,
         threshold=_quantile_threshold(lof, cfg.contamination),
         config=cfg,
@@ -753,20 +747,18 @@ def lof_fit(train: Dataset, cfg: DetectorConfig) -> LofModel:
 def lof_score(model: LofModel, d: Dataset) -> DetectionResult:
     """Score unseen rows against a fitted LOF reference, train-quantile threshold.
 
-    Each query row is scored on its own against the distinct training rows,
-    weighted by their copies; no training point is the query itself. A
-    query row repeated in ``d`` is scored once (_distinct_rows), and every
-    copy gets that score.
+    Each query row is scored on its own against the model's distinct
+    training rows (``model.ref``, used as stored), weighted by their copies;
+    no training point is the query itself. A query row repeated in ``d`` is
+    scored once (_distinct_rows), and every copy gets that score.
     """
-    ref, cfg = model.reference, model.config
-    if d.m != ref.m:
-        raise DataError(f"dataset has m={d.m}, reference was fit on m={ref.m}")
-    distinct, _, inverse = _distinct_rows(d.values)
+    cfg, m = model.config, model.ref.shape[1]
+    if d.m != m:
+        raise DataError(f"dataset has m={d.m}, reference was fit on m={m}")
+    query, _, inverse = _distinct_rows(d.values)
     nb = _neighborhoods(
-        _take_rows(d.values, distinct), _take_rows(ref.values, model.distinct), model.copies,
-        cfg.k_neighbors, cfg.metric, exclude_self=False,
+        query, model.ref, model.copies, cfg.k_neighbors, cfg.metric, exclude_self=False
     )
-    lrd = model.lrd[model.distinct]
-    own_lrd = _local_reachability_density(nb, model.kdist[model.distinct])
-    scores = (nb.row_mean(lrd[nb.indices]) / own_lrd)[inverse]
+    own_lrd = _local_reachability_density(nb, model.kdist)
+    scores = (nb.row_mean(model.lrd[nb.indices]) / own_lrd)[inverse]
     return DetectionResult(scores=scores, threshold=model.threshold)

@@ -176,6 +176,7 @@ def transform(d: Dataset, rank: AttributeRank) -> Dataset:
 
     Keeps exactly the top-t columns in their original relative order; labels
     and any recorded normalization state for those columns carry through.
+    Categorical levels are not carried: only ``load_csv``'s result holds them.
     """
     indices = sorted(d.index_of(name) for name in rank.selected)
     return Dataset(
@@ -186,11 +187,6 @@ def transform(d: Dataset, rank: AttributeRank) -> Dataset:
             None
             if d.normalization is None
             else tuple(d.normalization[j] for j in indices)
-        ),
-        categorical_levels=tuple(
-            (name, levels)
-            for name, levels in d.categorical_levels
-            if name in set(rank.selected)
         ),
     )
 

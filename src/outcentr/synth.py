@@ -107,18 +107,13 @@ def generate(spec: SynthSpec) -> tuple[Dataset, tuple[int, ...]]:
     return dataset, informative_positions
 
 
-def save_synth(
-    dataset: Dataset,
-    informative: tuple[int, ...],
-    out_dir,
-    label_column: str = "label",
-) -> tuple[Path, Path]:
-    """Write data.csv plus an informative.txt sidecar (one column index per line)."""
+def save_synth(dataset: Dataset, informative: tuple[int, ...], out_dir) -> tuple[Path, Path]:
+    """Write data.csv (labels in column ``label``) and informative.txt (one index per line)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / "data.csv"
     sidecar_path = out_dir / "informative.txt"
-    write_csv(dataset, data_path, label_column=label_column)
+    write_csv(dataset, data_path)
     sidecar_path.write_text(
         "".join(f"{j}\n" for j in informative), encoding="utf-8"
     )

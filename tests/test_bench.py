@@ -58,10 +58,33 @@ k_neighbors = 10
 GOLDEN = Path(__file__).parent / "data"
 
 
-def untimed_columns(out_dir) -> bytes:
-    """Columns 1-9 of a run's results.csv (all but the timings), one LF-ended line per row."""
-    lines = (Path(out_dir) / "results.csv").read_bytes().splitlines()
-    return b"".join(b",".join(line.split(b",")[:9]) + b"\n" for line in lines)
+def untimed_columns(out_dir, name="results.csv", count=9) -> bytes:
+    """The first ``count`` columns of a run's CSV, one LF-ended line per row.
+
+    Columns 1-9 of results.csv and 1-4 of timings.csv are all but the timings.
+    """
+    lines = (Path(out_dir) / name).read_bytes().splitlines()
+    return b"".join(b",".join(line.split(b",")[:count]) + b"\n" for line in lines)
+
+
+def split_rank_scores(path):
+    """A rank export's CRLF-split lines, score cells cut out, and its scores as floats.
+
+    The header line and the empty text after the last CRLF are kept whole.
+    """
+    lines = Path(path).read_bytes().split(b"\r\n")
+    cells = [line.split(b",") for line in lines[1:-1]]
+    pinned = [lines[0], *(row[:2] + row[3:] for row in cells), lines[-1]]
+    return pinned, np.array([float(row[2]) for row in cells])
+
+
+@pytest.fixture(scope="module")
+def golden_synth_run(tmp_path_factory):
+    """Output directory of ``outcentr run --save-model`` on tests/data/golden_synth.ini."""
+    out = tmp_path_factory.mktemp("golden_synth")
+    config = str(GOLDEN / "golden_synth.ini")
+    assert main(["run", "--config", config, "--out", str(out), "--save-model", str(out)]) == 0
+    return out
 
 
 def write_config(tmp_path, text=None, **fmt):
@@ -800,24 +823,34 @@ class TestCli:
             columns.append(untimed_columns(out))
         assert columns[0] == columns[1]
 
-    def test_results_match_golden_file(self, tmp_path):
-        # Columns 1-9 of results.csv on acceptance criterion 9's config. A change
-        # that alters scores on purpose rewrites tests/data/golden_results.csv
-        # and says why in CHANGES.md.
-        config = tmp_path / "run.ini"
-        config.write_text(
-            "[data]\n"
-            "source = synth\n"
-            "n = 300\nm = 20\ncontamination = 0.1\nn_informative = 4\n\n"
-            "[run]\n"
-            "reducers = none, outcentr, pca, grp\n"
-            "detectors = iforest, lof\n"
-            "seeds = 0, 1\n"
-            f"output = {tmp_path / 'r'}\n\n"
-            "[lof]\nk_neighbors = 10\n"
-        )
-        assert main(["run", "--config", str(config)]) == 0
-        assert untimed_columns(tmp_path / "r") == (GOLDEN / "golden_results.csv").read_bytes()
+    # The synth goldens come from acceptance criterion 9's config,
+    # tests/data/golden_synth.ini. A change that alters them on purpose
+    # regenerates them, from tests/data, with
+    #   PYTHONPATH=../../src python -m outcentr run --config golden_synth.ini \
+    #       --out OUT --save-model OUT
+    #   cut -d, -f1-9 OUT/results.csv > golden_results.csv
+    #   cut -d, -f1-4 OUT/timings.csv > golden_timings.csv
+    #   cp OUT/outcentr_seed0.csv golden_rank_seed0.csv
+    #   cp OUT/outcentr_seed1.csv golden_rank_seed1.csv
+    # and says why in CHANGES.md.
+    def test_results_match_golden_file(self, golden_synth_run):
+        assert untimed_columns(golden_synth_run) == (GOLDEN / "golden_results.csv").read_bytes()
+
+    def test_timings_match_golden_file(self, golden_synth_run):
+        # columns 1-4 (dataset, reducer, detector, seed): all but the timings
+        got = untimed_columns(golden_synth_run, "timings.csv", 4)
+        assert got == (GOLDEN / "golden_timings.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rank_exports_match_golden_files(self, golden_synth_run, seed):
+        # Every byte but the scores is pinned: header, ranks, names, order,
+        # selected flags and CRLF line ends. distinguishability_score is
+        # compared within 1e-12 absolute, since repr of a centroid mean may
+        # move in its last bits between numpy builds.
+        pinned, scores = split_rank_scores(golden_synth_run / f"outcentr_seed{seed}.csv")
+        want_pinned, want_scores = split_rank_scores(GOLDEN / f"golden_rank_seed{seed}.csv")
+        assert pinned == want_pinned
+        assert np.abs(scores - want_scores).max() <= 1e-12
 
     def test_csv_run_matches_golden_files(self, tmp_path, monkeypatch):
         # tests/data/golden_csv.ini: a CSV source with a text column, Manhattan
@@ -833,3 +866,17 @@ class TestCli:
         assert untimed_columns(tmp_path) == (GOLDEN / "golden_csv_results.csv").read_bytes()
         summary = (tmp_path / "summary.md").read_bytes()
         assert summary == (GOLDEN / "golden_csv_summary.md").read_bytes()
+
+    def test_inductive_csv_run_matches_golden_file(self, tmp_path, monkeypatch):
+        # tests/data/golden_csv_inductive.ini: golden_csv.ini with transductive
+        # = false. Its outcentr cells collapse 160 training rows into 25-26
+        # distinct ones, so LOF scores held-out rows against weighted,
+        # repeated training rows. A change that alters it on purpose
+        # regenerates the golden, from tests/data, with
+        #   PYTHONPATH=../../src python -m outcentr run --config golden_csv_inductive.ini --out OUT
+        #   cut -d, -f1-9 OUT/results.csv > golden_csv_inductive_results.csv
+        # and says why in CHANGES.md.
+        monkeypatch.chdir(GOLDEN)
+        assert main(["run", "--config", "golden_csv_inductive.ini", "--out", str(tmp_path)]) == 0
+        want = (GOLDEN / "golden_csv_inductive_results.csv").read_bytes()
+        assert untimed_columns(tmp_path) == want

@@ -509,6 +509,34 @@ class TestLof:
         assert searched == [9]
         assert scores.tobytes() == np.array(alone)[pick].tobytes()
 
+    def test_model_holds_one_value_per_distinct_row(self):
+        rng = np.random.default_rng(29)
+        base = rng.random((15, 2))
+        x = np.repeat(base, rng.integers(1, 5, size=15), axis=0)
+        train = dataset(x[rng.permutation(len(x))])
+        model = lof_fit(train, lof_cfg(k_neighbors=4))
+        distinct = np.unique(train.values, axis=0).shape[0]
+        sizes = {len(model.ref), len(model.copies), len(model.kdist), len(model.lrd)}
+        assert sizes == {distinct} and distinct < train.n
+        assert model.copies.sum() == len(model.train_scores) == train.n
+        assert not model.ref.flags.writeable
+
+    def test_scoring_reads_the_stored_reference_rows(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        base = rng.random((20, 3))
+        model = lof_fit(dataset(np.vstack([base, base[:6]])), lof_cfg(k_neighbors=5))
+        refs, neighborhoods = [], detectors._neighborhoods
+
+        def spy(query, ref, *args, **kwargs):
+            refs.append(ref)
+            return neighborhoods(query, ref, *args, **kwargs)
+
+        monkeypatch.setattr(detectors, "_neighborhoods", spy)
+        for _ in range(2):
+            lof_score(model, dataset(rng.random((7, 3))))
+        # the very same array each call: no per-call copy of the distinct rows
+        assert len(refs) == 2 and refs[0] is refs[1] is model.ref
+
     def test_requires_more_rows_than_neighbors(self):
         d = dataset(np.random.default_rng(13).random((5, 2)))
         with pytest.raises(DataError, match="more rows than neighbors"):
@@ -518,7 +546,7 @@ class TestLof:
         rng = np.random.default_rng(14)
         train = dataset(rng.normal(size=(80, 3)))
         model = lof_fit(train, lof_cfg(contamination=0.1, k_neighbors=10))
-        assert model.reference is train  # held, not copied
+        assert model.ref is train.values  # no row repeats: held, not copied
         inliers = dataset(rng.normal(size=(20, 3)))
         outliers = dataset(rng.normal(loc=8.0, size=(5, 3)))
         res_in = lof_score(model, inliers)
@@ -665,9 +693,9 @@ def test_candidate_search_matches_a_dense_float64_search(case, k):
     rng = np.random.default_rng(31)
     x = adversarial_rows(case, rng)
     x = x[rng.permutation(len(x))]
-    distinct, copies, _ = detectors._distinct_rows(x)
+    ref, copies, _ = detectors._distinct_rows(x)
     picked = x[rng.integers(0, len(x), 30)]
-    ref, query = x[distinct], np.vstack([picked[:15], picked[15:] * (1 + 1e-12)])
+    query = np.vstack([picked[:15], picked[15:] * (1 + 1e-12)])
     assert len(ref) > k
     for rows, exclude_self in ((ref, True), (query, False)):
         got = detectors._neighborhoods(rows, ref, copies, k, "euclidean", exclude_self)
@@ -681,25 +709,27 @@ class TestDistinctRows:
     def test_inverse_rebuilds_the_rows_in_first_appearance_order(self):
         rng = np.random.default_rng(26)
         x = rng.integers(0, 3, size=(60, 2)) * 0.5
-        first, copies, inverse = detectors._distinct_rows(x)
-        assert np.array_equal(x[first][inverse], x)
+        rows, copies, inverse = detectors._distinct_rows(x)
+        labels, first = np.unique(inverse, return_index=True)
+        assert np.array_equal(rows[inverse], x)
+        assert np.array_equal(labels, np.arange(len(rows)))
         assert np.all(np.diff(first) > 0)
-        assert np.array_equal(inverse[first], np.arange(first.size))
+        assert np.array_equal(rows, x[first])
         assert np.array_equal(copies, np.bincount(inverse))
-        assert np.unique(x[first], axis=0).shape[0] == first.size
+        assert np.unique(rows, axis=0).shape[0] == len(rows)
 
     def test_rows_one_bit_apart_stay_apart(self):
         a = np.array([0.3, 2.0, 5.0])
         b = a.copy()
         b[1] = np.nextafter(2.0, 3.0)
-        first, copies, inverse = detectors._distinct_rows(np.array([a, b, a, b, a]))
-        assert first.tolist() == [0, 1]
+        rows, copies, inverse = detectors._distinct_rows(np.array([a, b, a, b, a]))
+        assert rows.tobytes() == np.array([a, b]).tobytes()
         assert copies.tolist() == [3, 2]
         assert inverse.tolist() == [0, 1, 0, 1, 0]
 
     def test_rows_without_duplicates_give_the_identity(self):
         x = np.random.default_rng(27).random((50, 3))
-        first, copies, inverse = detectors._distinct_rows(x)
-        assert np.array_equal(first, np.arange(50))
+        rows, copies, inverse = detectors._distinct_rows(x)
+        assert rows is x
         assert np.array_equal(copies, np.ones(50))
         assert np.array_equal(inverse, np.arange(50))
