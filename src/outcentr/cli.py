@@ -168,8 +168,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit:
-        raise
     except Exception as exc:  # noqa: BLE001 - CLI boundary maps anything to exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2

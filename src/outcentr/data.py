@@ -52,7 +52,7 @@ class Dataset:
         values: (n, m) matrix of finite floats, one row per record.
         attribute_names: m distinct column names, in column order.
         labels: optional (n,) array of 0/1 marks, 1 = outlier.
-        normalization: per-attribute (min, max) pairs recorded by
+        normalization: (m, 2) array of per-column (min, max) recorded by
             :func:`normalize_minmax`; ``None`` before scaling.
         categorical_levels: ((name, (level, ...)), ...) ordinal-encoding maps
             recorded by :func:`load_csv` for reporting.
@@ -61,7 +61,7 @@ class Dataset:
     values: np.ndarray
     attribute_names: tuple[str, ...]
     labels: np.ndarray | None = None
-    normalization: tuple[tuple[float, float], ...] | None = None
+    normalization: np.ndarray | None = None
     categorical_levels: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     def __post_init__(self):
@@ -90,12 +90,13 @@ class Dataset:
             if not np.isin(self.labels, (0, 1)).all():
                 raise DataError("labels must be 0 or 1")
         if self.normalization is not None:
-            state = tuple((float(lo), float(hi)) for lo, hi in self.normalization)
-            if len(state) != m:
-                raise DataError(f"normalization state has {len(state)} entries for m={m}")
+            freeze_fields(self, "normalization")
+            if self.normalization.shape != (m, 2):
+                raise DataError(
+                    f"normalization state has shape {self.normalization.shape} for m={m}"
+                )
             if values.min() < -1e-9 or values.max() > 1 + 1e-9:
                 raise DataError("normalized dataset has cells outside [0, 1]")
-            object.__setattr__(self, "normalization", state)
 
     @property
     def n(self) -> int:
@@ -323,18 +324,18 @@ def write_rows(path, header, rows) -> Path:
     return path
 
 
-def write_csv(d: Dataset, path, label_column: str = "label") -> None:
+def write_csv(d: Dataset, path) -> None:
     """Write a dataset to CSV (UTF-8, header row, '.' decimal point).
 
-    Labels, when present, are appended as an extra integer column; a label
-    name that collides with an attribute raises before the file is opened.
+    Labels, when present, are appended as an extra integer column named
+    ``label``; an attribute of that name raises before the file is opened.
     """
     header = list(d.attribute_names)
     rows = d.values.tolist()
     if d.labels is not None:
-        if label_column in header:
-            raise DataError(f"label column name {label_column!r} collides")
-        header.append(label_column)
+        if "label" in header:
+            raise DataError("label column name 'label' collides")
+        header.append("label")
         rows = (row + [label] for row, label in zip(rows, d.labels.tolist()))
     write_rows(path, header, rows)
 
@@ -342,30 +343,30 @@ def write_csv(d: Dataset, path, label_column: str = "label") -> None:
 def normalize_minmax(d: Dataset) -> Dataset:
     """Scale every column to [0, 1] by its own min and max.
 
-    Constant columns map to all-zeros. The per-column (min, max) pairs are
-    recorded on the result so the same map can be replayed on held-out data.
-    This is :func:`apply_normalization` with the data's own state, whose
-    clip changes nothing on the rows that state came from.
+    Constant columns map to all-zeros. The (m, 2) array of per-column
+    (min, max) is recorded on the result so the same map can be replayed on
+    held-out data. This is :func:`apply_normalization` with the data's own
+    state, whose clip changes nothing on the rows that state came from.
     """
     if d.normalization is not None:
         raise DataError("dataset is already normalized")
-    return apply_normalization(
-        d, tuple(zip(d.values.min(axis=0).tolist(), d.values.max(axis=0).tolist()))
-    )
+    return apply_normalization(d, np.stack([d.values.min(axis=0), d.values.max(axis=0)], axis=1))
 
 
 def apply_normalization(d: Dataset, state) -> Dataset:
     """Replay a recorded min-max map on new data, clipping results to [0, 1].
 
-    Columns whose recorded span is zero map to all-zeros, matching
-    :func:`normalize_minmax` on the original data.
+    ``state`` is an (m, 2) array of per-column (min, max), or a sequence of
+    (min, max) pairs. Columns whose recorded span is zero map to all-zeros,
+    matching :func:`normalize_minmax` on the original data.
     """
-    state = tuple((float(lo), float(hi)) for lo, hi in state)
-    if len(state) != d.m:
-        raise DataError(f"normalization state has {len(state)} entries for m={d.m}")
-    lows = np.array([lo for lo, _ in state])
-    span = np.array([hi - lo for lo, hi in state])
-    scaled = np.where(span > 0, (d.values - lows) / np.where(span > 0, span, 1.0), 0.0)
+    state = np.asarray(state, dtype=np.float64)
+    if state.shape != (d.m, 2):
+        raise DataError(f"normalization state has shape {state.shape} for m={d.m}")
+    span = state[:, 1] - state[:, 0]
+    scaled = d.values - state[:, 0]
+    scaled /= np.where(span > 0, span, 1.0)
+    scaled[:, ~(span > 0)] = 0.0  # a zero or NaN span maps its column to 0
     np.clip(scaled, 0.0, 1.0, out=scaled)
     return replace(d, values=scaled, normalization=state)
 

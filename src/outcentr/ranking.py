@@ -174,20 +174,15 @@ def fit_reducer(
 def transform(d: Dataset, rank: AttributeRank) -> Dataset:
     """Project a dataset onto the rank's selected attributes.
 
-    Keeps exactly the top-t columns in their original relative order; labels
-    and any recorded normalization state for those columns carry through.
-    Categorical levels are not carried: only ``load_csv``'s result holds them.
+    Keeps exactly the top-t columns in their original relative order, with
+    their labels. The result is a plain projection: it records no
+    normalization state and no categorical levels.
     """
     indices = sorted(d.index_of(name) for name in rank.selected)
     return Dataset(
         values=d.values[:, indices],
         attribute_names=tuple(d.attribute_names[j] for j in indices),
         labels=d.labels,
-        normalization=(
-            None
-            if d.normalization is None
-            else tuple(d.normalization[j] for j in indices)
-        ),
     )
 
 
@@ -273,21 +268,14 @@ def rank_diff(path_a, path_b) -> tuple[RankDiffEntry, ...]:
 
     in_a = positions(load_rank(path_a))
     in_b = positions(load_rank(path_b))
+    absent = (None, None, None)  # rank, score and selected flag on a side without the name
     entries = []
-    for name in dict.fromkeys(list(in_a) + list(in_b)):
-        a = in_a.get(name)
-        b = in_b.get(name)
+    for name in dict.fromkeys([*in_a, *in_b]):
+        rank_a, score_a, selected_a = in_a.get(name, absent)
+        rank_b, score_b, selected_b = in_b.get(name, absent)
+        delta = None if None in (rank_a, rank_b) else rank_b - rank_a
         entries.append(
-            RankDiffEntry(
-                attribute=name,
-                rank_a=a[0] if a else None,
-                rank_b=b[0] if b else None,
-                score_a=a[1] if a else None,
-                score_b=b[1] if b else None,
-                rank_delta=(b[0] - a[0]) if a and b else None,
-                selected_a=a[2] if a else None,
-                selected_b=b[2] if b else None,
-            )
+            RankDiffEntry(name, rank_a, rank_b, score_a, score_b, delta, selected_a, selected_b)
         )
     entries.sort(
         key=lambda e: (e.rank_delta is None, -abs(e.rank_delta or 0), e.attribute)

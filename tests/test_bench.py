@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,15 +68,17 @@ def untimed_columns(out_dir, name="results.csv", count=9) -> bytes:
     return b"".join(b",".join(line.split(b",")[:count]) + b"\n" for line in lines)
 
 
-def split_rank_scores(path):
-    """A rank export's CRLF-split lines, score cells cut out, and its scores as floats.
+def split_rank_scores(path, columns=(2,)):
+    """A CSV's CRLF-split lines with the cells of ``columns`` cut out, and those cells as floats.
 
-    The header line and the empty text after the last CRLF are kept whole.
+    The columns default to a rank export's scores. The header line and the
+    empty text after the last CRLF are kept whole. No field may hold a comma.
     """
     lines = Path(path).read_bytes().split(b"\r\n")
     cells = [line.split(b",") for line in lines[1:-1]]
-    pinned = [lines[0], *(row[:2] + row[3:] for row in cells), lines[-1]]
-    return pinned, np.array([float(row[2]) for row in cells])
+    pinned = [lines[0], *([c for j, c in enumerate(row) if j not in columns] for row in cells),
+              lines[-1]]
+    return pinned, np.array([[float(row[j]) for j in columns] for row in cells])
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +291,32 @@ class TestConfigParsing:
         path.write_text(text)
         with pytest.raises(ConfigError, match="label"):
             load_run_config(path)
+
+    @pytest.mark.parametrize(
+        "old,new,overrides,message",
+        [
+            ("source = synth", "source = db", {}, "source must be 'csv' or 'synth', got 'db'"),
+            ("source = synth", "source = csv\nlabel = label", {}, "csv source requires a csv path"),
+            ("", "", {"synth": None}, "synth source requires n, m, and contamination"),
+            ("reducers = none, outcentr, pca, grp", "reducers =", {},
+             "at least one reducer is required"),
+            ("seeds = 0, 1", "seeds =", {}, "at least one seed is required"),
+            ("t_fraction = 0.10", "t_fraction = 0", {}, "t_fraction must be in (0, 1], got 0.0"),
+            ("split = 0.8", "split = 1", {}, "split must be in (0, 1), got 1.0"),
+            ("split = 0.8", "label_budget = 2", {}, "label_budget must be in (0, 1], got 2.0"),
+            ("split = 0.8", "transductive = maybe", {},
+             "bad value for 'transductive' in [run]: not a boolean: 'maybe'"),
+            ("contamination = 0.1", "contamination = 0", {},
+             "bad synth spec: contamination must be in (0, 1), got 0.0"),
+        ],
+        ids=["source", "csv-path", "synth-spec", "reducers", "seeds", "t-fraction", "split",
+             "label-budget", "transductive", "bad-spec"],
+    )
+    def test_bad_setting_is_a_config_error_naming_it(self, tmp_path, old, new, overrides, message):
+        config = write_config(tmp_path, text=SYNTH_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError) as raised:
+            replace(load_run_config(config), **overrides)
+        assert str(raised.value) == message
 
 
 class TestRunExperiment:
@@ -696,6 +725,20 @@ class TestCli:
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not out_dir.exists() and not models.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--t-fraction", "0", "t_fraction must be in (0, 1], got 0.0"),
+            ("--label-budget", "2", "label_budget must be in (0, 1], got 2.0"),
+        ],
+        ids=["t-fraction", "label-budget"],
+    )
+    def test_out_of_range_run_flag_is_exit_1(self, tmp_path, capsys, flag, value, message):
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(write_config(tmp_path, out=out_dir)), flag, value]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out_dir.exists()
+
     def test_run_config_with_a_byte_order_mark(self, tmp_path):
         out_dir = tmp_path / "results"
         small = SYNTH_CONFIG.replace("seeds = 0, 1", "seeds = 0").replace(
@@ -880,3 +923,61 @@ class TestCli:
         assert main(["run", "--config", "golden_csv_inductive.ini", "--out", str(tmp_path)]) == 0
         want = (GOLDEN / "golden_csv_inductive_results.csv").read_bytes()
         assert untimed_columns(tmp_path) == want
+
+    # One case per subcommand output: its arguments, run from tests/data with
+    # OUT for the output directory, and for each file it writes the golden and
+    # the columns compared within 1e-12 absolute. Those columns hold repr of
+    # centroid means (rank scores, --scores-out) or, in synth's data.csv, the
+    # informative columns, whose outlier rows pass through np.linalg.norm;
+    # both sums may move in their last bits between numpy builds. Every
+    # other byte is pinned: headers, names, ranks, flags, labels, line ends.
+    # A change that alters one on purpose reruns the case's arguments with
+    #   PYTHONPATH=../../src python -m outcentr ARGS
+    # from tests/data, copies each file onto its golden and says why in
+    # CHANGES.md. The rank-diff case reads golden_rank.csv, so it follows a
+    # change to the rank case.
+    @pytest.mark.parametrize(
+        "args,goldens",
+        [
+            # the row-wise CSV reader: 1_000-style cells, a column numeric in
+            # its first row only, a header cell holding a quoted line break
+            pytest.param(
+                "rank --data golden_rows_input.csv --label label "
+                "--out OUT/rank.csv --scores-out OUT/scores.csv",
+                {"rank.csv": ("golden_rows_rank.csv", (2,)),
+                 "scores.csv": ("golden_rows_scores.csv", (1, 2))},
+                id="row-wise-reader",
+            ),
+            pytest.param(
+                "rank --data golden_csv_input.csv --label label --t-fraction 0.2 "
+                "--label-budget 0.5 --seed 3 --absolute-deviation "
+                "--out OUT/rank.csv --scores-out OUT/scores.csv",
+                {"rank.csv": ("golden_rank.csv", (2,)),
+                 "scores.csv": ("golden_rank_scores.csv", (1, 2))},
+                id="rank",
+            ),
+            # attributes a9-a20 are on side a only, proto and load on side b only
+            pytest.param(
+                "rank-diff golden_rank_seed0.csv golden_rank.csv --out OUT/diff.csv",
+                {"diff.csv": ("golden_rank_diff.csv", ())},
+                id="rank-diff",
+            ),
+            pytest.param(
+                "synth --spec golden_synth_spec.ini --out OUT",
+                {"data.csv": ("golden_synth_data.csv", (1, 2)),
+                 "informative.txt": ("golden_synth_informative.txt", ())},
+                id="synth",
+            ),
+        ],
+    )
+    def test_subcommand_output_matches_golden_files(self, tmp_path, monkeypatch, args, goldens):
+        monkeypatch.chdir(GOLDEN)
+        assert main([arg.replace("OUT", str(tmp_path)) for arg in args.split()]) == 0
+        for name, (golden, columns) in goldens.items():
+            if not columns:
+                assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes()
+                continue
+            pinned, values = split_rank_scores(tmp_path / name, columns)
+            want_pinned, want_values = split_rank_scores(GOLDEN / golden, columns)
+            assert pinned == want_pinned
+            assert np.abs(values - want_values).max() <= 1e-12

@@ -184,8 +184,8 @@ class TestLoadCsv:
         d = make_dataset(values, labels=np.arange(len(values)) % 2)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "out.csv"
-            write_csv(d, path, label_column="target")
-            back = load_csv(path, label_column="target")
+            write_csv(d, path)
+            back = load_csv(path, label_column="label")
         # bit-identical: -0.0, subnormals and the largest finite floats come back as written
         assert back.values.tobytes() == d.values.tobytes()
         assert np.array_equal(back.labels, d.labels)
@@ -404,7 +404,7 @@ class TestNormalize:
     def test_spans_to_unit_interval(self):
         d = normalize_minmax(make_dataset([[2.0], [4.0], [6.0]]))
         assert d.values[:, 0].tolist() == [0.0, 0.5, 1.0]
-        assert d.normalization == ((2.0, 6.0),)
+        assert np.array_equal(d.normalization, [[2.0, 6.0]])
 
     def test_constant_column_maps_to_zero(self):
         d = normalize_minmax(make_dataset([[5.0], [5.0], [5.0]]))
@@ -439,6 +439,30 @@ class TestNormalize:
             normalized = normalize_minmax(raw)
             replayed = apply_normalization(raw, normalized.normalization)
             assert np.array_equal(replayed.values, normalized.values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=8),
+            elements=st.floats(-1e307, 1e307),
+        ),
+    )
+    @example(values=np.array([[3.0, -1e300], [3.0, 1e300], [2.0, 5.0], [4.0, 1e307]]))
+    def test_each_cell_follows_the_min_max_formula(self, values):
+        # fit on the first half of the rows: the rest may fall outside its range and
+        # clip, and over a tiny span a quotient may overflow to inf, which clips to 1
+        fitted = values[: len(values) // 2]
+        with np.errstate(over="ignore"):
+            train = normalize_minmax(make_dataset(fitted))
+            held = apply_normalization(make_dataset(values), train.normalization)
+        state = train.normalization.tolist()
+        assert state == [[min(c), max(c)] for c in fitted.T.tolist()]
+        want = [
+            [min(max((x - lo) / (hi - lo), 0.0), 1.0) if hi - lo > 0 else 0.0 for x in column]
+            for (lo, hi), column in zip(state, values.T.tolist())
+        ]
+        assert held.values.T.tolist() == want
 
     def test_positive_affine_rescale_is_bit_identical(self):
         # integer data and integer scale/shift keep every step of the min-max
@@ -567,3 +591,26 @@ class TestContainers:
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError):
                 arr.flat[0] = 1
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Dataset(values=np.ones(3), attribute_names=("a",)),
+         "values must be 2-D, got shape (3,)"),
+        (lambda: make_dataset([[1.0], [2.0]], labels=[0, 1, 0]),
+         "labels length (3,) does not match n=2"),
+        (lambda: Dataset(values=[[0.5]], attribute_names=("a",), normalization=[(0.0, 1.0)] * 2),
+         "normalization state has shape (2, 2) for m=1"),
+        (lambda: apply_normalization(make_dataset([[1.0, 2.0]]), [(0.0, 1.0)] * 3),
+         "normalization state has shape (3, 2) for m=2"),
+        (lambda: split(make_dataset([[1.0], [2.0], [3.0], [4.0]], labels=[0, 1, 0, 1]), 1.0, 0),
+         "train_fraction must be in (0, 1), got 1.0"),
+    ],
+    ids=["values-not-2d", "labels-length", "dataset-state-shape", "replayed-state-shape",
+         "split-fraction"],
+)
+def test_rejects_bad_input_naming_it(call, message):
+    with pytest.raises(DataError) as raised:
+        call()
+    assert str(raised.value) == message

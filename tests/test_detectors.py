@@ -152,6 +152,20 @@ class TestDetectorConfig:
             DetectorConfig(kind="lof", contamination=0.1, metric="cosine")
 
 
+@pytest.mark.parametrize(
+    "fit,cfg,message",
+    [
+        (iforest_fit, lof_cfg, "config is for 'lof', not iforest"),
+        (lof_fit, iforest_cfg, "config is for 'iforest', not lof"),
+    ],
+    ids=["iforest", "lof"],
+)
+def test_fit_rejects_a_config_of_the_other_kind(fit, cfg, message):
+    with pytest.raises(DataError) as raised:
+        fit(dataset(np.arange(20.0).reshape(10, 2)), cfg())
+    assert str(raised.value) == message
+
+
 class TestDetectionResult:
     def test_flags_are_derived_from_the_scores(self):
         result = DetectionResult(scores=[0.2, 0.9, 0.5, 0.7], threshold=0.5)

@@ -120,3 +120,10 @@ class TestRocAuc:
         neg = [s for s, y in zip(scores, labels) if y == 0]
         twice_u = sum((p > q) * 2 + (p == q) for p in pos for q in neg)
         assert roc_auc(scores, labels) == twice_u / (2 * len(pos) * len(neg))
+
+
+@pytest.mark.parametrize("measure", [confusion, roc_auc])
+def test_rejects_scores_and_labels_of_different_lengths(measure):
+    with pytest.raises(ValueError) as raised:
+        measure([1, 0], [1])
+    assert str(raised.value) == "length mismatch: (2,) vs (1,)"

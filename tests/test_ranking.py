@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from outcentr.data import DataError, Dataset, normalize_minmax
 from outcentr.ranking import (
+    AttributeRank,
     attribute_rank,
     attribute_scores,
     compute_centroid,
@@ -336,6 +337,32 @@ def test_load_rank_rejects_other_csv(tmp_path):
     path.write_text("x,y\n1,2\n")
     with pytest.raises(DataError, match="not an attribute-rank export"):
         load_rank(path)
+
+
+def _empty_rank_export(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("rank,attribute,distinguishability_score,selected\n")
+    return load_rank(path)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda tmp: AttributeRank(entries=(("a", 0.1), ("b", 0.5)), t=1),
+         ValueError, "entries must be sorted by non-increasing score"),
+        (lambda tmp: attribute_rank([0.1, 0.2], ["a"], t=1),
+         ValueError, "scores and names have different lengths"),
+        (lambda tmp: top_t(10, 0.0), ValueError, "t_fraction must be in (0, 1], got 0.0"),
+        (lambda tmp: fit_reducer(random_labeled(np.random.default_rng(0)), ratio=0.0),
+         ValueError, "ratio must be in (0, 1], got 0.0"),
+        (_empty_rank_export, DataError, "empty rank export"),
+    ],
+    ids=["unsorted-entries", "score-count", "top-t-fraction", "label-ratio", "empty-export"],
+)
+def test_rejects_bad_input_naming_it(tmp_path, call, error, message):
+    with pytest.raises(error) as raised:
+        call(tmp_path)
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 @pytest.mark.parametrize(

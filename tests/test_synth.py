@@ -30,6 +30,19 @@ class TestSynthSpec:
             SynthSpec(n=100, m=5, contamination=0.1, n_informative=6)
 
     @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("contamination", 1.0, "contamination must be in (0, 1), got 1.0"),
+            ("separation", -0.5, "separation must be non-negative"),
+        ],
+        ids=["contamination", "separation"],
+    )
+    def test_rejects_a_bad_value_naming_it(self, field, value, message):
+        with pytest.raises(DataError) as raised:
+            SynthSpec(**{**dict(n=100, m=5, contamination=0.1), field: value})
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
         "field,value",
         [("n", 200.5), ("n", 200.0), ("n", True), ("m", 20.0), ("m", True),
          ("n_informative", 2.0), ("n_informative", True), ("seed", -1), ("seed", 1.5),
