@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset, freeze_fields
+from .data import DataError, Dataset, freeze_fields, frozen
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def pca_transform(model: PcaModel, d: Dataset) -> Dataset:
         raise DataError(f"dataset has m={d.m}, model expects m={model.m}")
     projected = (d.values - model.mean) @ model.components.T
     names = tuple(f"pc{j + 1}" for j in range(model.k))
-    return Dataset(values=projected, attribute_names=names, labels=d.labels)
+    return Dataset(values=frozen(projected), attribute_names=names, labels=d.labels)
 
 
 def grp_transform(d: Dataset, k: int, seed: int) -> Dataset:
@@ -87,5 +87,5 @@ def grp_transform(d: Dataset, k: int, seed: int) -> Dataset:
     projection = np.random.default_rng(seed).standard_normal((k, d.m)) / np.sqrt(k)
     projected = d.values @ projection.T
     names = tuple(f"rp{j + 1}" for j in range(k))
-    return Dataset(values=projected, attribute_names=names, labels=d.labels)
+    return Dataset(values=frozen(projected), attribute_names=names, labels=d.labels)
 

@@ -20,14 +20,33 @@ class DataError(ValueError):
 
 
 def freeze_fields(obj, *names, dtype=np.float64) -> None:
-    """Replace each named field of a frozen dataclass with a read-only array copy.
+    """Make each named field of a frozen dataclass a read-only array of ``dtype``.
 
-    The copy is cast to ``dtype``; ``dtype=None`` keeps each field's own dtype.
+    An ndarray that is already read-only, owns its data, is C-contiguous and
+    has the target dtype is kept as it is: that is how a producer hands a
+    fresh array over (:func:`frozen`), and such an array keeps no base array
+    alive. Anything else, a caller's writeable array included, is copied
+    (cast to ``dtype``; ``dtype=None`` keeps each field's own dtype) and the
+    copy is marked read-only, so no array the caller can still write is shared.
     """
     for name in names:
-        arr = np.array(getattr(obj, name), dtype=dtype)
-        arr.setflags(write=False)
+        arr = getattr(obj, name)
+        if not (
+            type(arr) is np.ndarray
+            and not arr.flags.writeable
+            and arr.flags.owndata
+            and arr.flags.c_contiguous
+            and (dtype is None or arr.dtype == dtype)
+        ):
+            arr = np.array(arr, dtype=dtype)
+            arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a fresh array read-only and return it, so that a container adopts it uncopied."""
+    arr.setflags(write=False)
+    return arr
 
 
 def existing_file(path, what: str = "file", error: type[Exception] = DataError) -> Path:
@@ -47,6 +66,10 @@ def is_integer_of_at_least(value, low: int) -> bool:
 @dataclass(frozen=True)
 class Dataset:
     """An n-by-m numeric matrix with named attributes and optional binary labels.
+
+    Its arrays are read-only. A given array that is already read-only,
+    owns its data, is C-contiguous and has the field's dtype is kept as it
+    is; any other is copied (:func:`freeze_fields`).
 
     Attributes:
         values: (n, m) matrix of finite floats, one row per record.
@@ -77,8 +100,11 @@ class Dataset:
             raise DataError(f"{len(names)} attribute names for {m} columns")
         if len(set(names)) != m:
             raise DataError("attribute names must be distinct")
-        finite = np.isfinite(values)
-        if not finite.all():
+        # NaN propagates through min and max, so both are finite only when every
+        # cell is; the cell-wise mask is built only to name the first bad cell
+        low, high = values.min(), values.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
+            finite = np.isfinite(values)
             j = int(np.flatnonzero(~finite.all(axis=0))[0])
             i = int(np.flatnonzero(~finite[:, j])[0])
             raise DataError(f"non-finite value {values[i, j]} in column {names[j]!r}, row {i + 1}")
@@ -91,11 +117,8 @@ class Dataset:
                 raise DataError("labels must be 0 or 1")
         if self.normalization is not None:
             freeze_fields(self, "normalization")
-            if self.normalization.shape != (m, 2):
-                raise DataError(
-                    f"normalization state has shape {self.normalization.shape} for m={m}"
-                )
-            if values.min() < -1e-9 or values.max() > 1 + 1e-9:
+            _check_state(self.normalization, names)
+            if low < -1e-9 or high > 1 + 1e-9:
                 raise DataError("normalized dataset has cells outside [0, 1]")
 
     @property
@@ -196,9 +219,11 @@ def load_csv(
         values[:, j], levels = _column_values(columns[header.index(name)], name)
         if levels is not None:
             encodings.append((name, levels))
-    del columns  # every cell and the parsed table: free them before Dataset copies the matrix
+    # free every cell and the parsed table first: the Dataset's label copy and
+    # checks then reuse their space instead of growing the heap
+    del columns
     return Dataset(
-        values=values,
+        values=frozen(values),
         attribute_names=tuple(names),
         labels=labels,
         categorical_levels=tuple(encodings),
@@ -357,18 +382,32 @@ def apply_normalization(d: Dataset, state) -> Dataset:
     """Replay a recorded min-max map on new data, clipping results to [0, 1].
 
     ``state`` is an (m, 2) array of per-column (min, max), or a sequence of
-    (min, max) pairs. Columns whose recorded span is zero map to all-zeros,
-    matching :func:`normalize_minmax` on the original data.
+    (min, max) pairs; a bound that is not finite, or a min above its max,
+    raises a DataError naming the column. Columns whose recorded span is
+    zero map to all-zeros, matching :func:`normalize_minmax` on the
+    original data.
     """
     state = np.asarray(state, dtype=np.float64)
-    if state.shape != (d.m, 2):
-        raise DataError(f"normalization state has shape {state.shape} for m={d.m}")
+    _check_state(state, d.attribute_names)
     span = state[:, 1] - state[:, 0]
     scaled = d.values - state[:, 0]
     scaled /= np.where(span > 0, span, 1.0)
-    scaled[:, ~(span > 0)] = 0.0  # a zero or NaN span maps its column to 0
+    scaled[:, ~(span > 0)] = 0.0  # a zero span maps its column to 0
     np.clip(scaled, 0.0, 1.0, out=scaled)
-    return replace(d, values=scaled, normalization=state)
+    return replace(d, values=frozen(scaled), normalization=state)
+
+
+def _check_state(state: np.ndarray, names: tuple[str, ...]) -> None:
+    """Raise DataError unless ``state`` holds one finite (min, max) pair, min <= max, per name."""
+    if state.shape != (len(names), 2):
+        raise DataError(f"normalization state has shape {state.shape} for m={len(names)}")
+    bad = np.flatnonzero(~np.isfinite(state).all(axis=1) | (state[:, 0] > state[:, 1]))
+    if bad.size:
+        low, high = state[bad[0]].tolist()
+        raise DataError(
+            f"normalization state ({low}, {high}) of column {names[bad[0]]!r}"
+            " is not a finite min <= max"
+        )
 
 
 def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -395,5 +434,7 @@ def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datase
         train_parts.append(perm[:n_train])
         test_parts.append(perm[n_train:])
     halves = (np.sort(np.concatenate(parts)) for parts in (train_parts, test_parts))
-    train, test = (replace(d, values=d.values[rows], labels=d.labels[rows]) for rows in halves)
+    train, test = (
+        replace(d, values=frozen(d.values[rows]), labels=frozen(d.labels[rows])) for rows in halves
+    )
     return train, test

@@ -480,12 +480,15 @@ def _pair_distances(query: np.ndarray, ref: np.ndarray, rows: np.ndarray, cols: 
     """Exact Euclidean distances d(query[rows[i]], ref[cols[i]]) for each pair i.
 
     Each distance is summed from explicit differences. Pairs are gathered a
-    tile at a time, so the gathered rows stay near _PAIR_TILE_CELLS cells.
+    tile at a time, so the gathered rows stay near _PAIR_TILE_CELLS cells,
+    and the reference rows are subtracted in place from the gathered query
+    rows: two tiles live at once, the query tile and the reference tile.
     """
     per = max(1, _PAIR_TILE_CELLS // query.shape[1])
     out = np.empty(rows.size)
     for s in range(0, rows.size, per):
-        diff = query[rows[s : s + per]] - ref[cols[s : s + per]]
+        diff = query[rows[s : s + per]]
+        diff -= ref[cols[s : s + per]]
         out[s : s + per] = np.einsum("ij,ij->i", diff, diff)
     return np.sqrt(out, out=out)
 
@@ -499,10 +502,16 @@ def _distinct_rows(x: np.ndarray):
     in every byte. A key per row, the sum of the row times one fixed vector,
     is the same for identical rows, since every row is reduced the same way;
     only rows whose key repeats are compared byte by byte, so data without
-    duplicates costs one pass and a sort of n keys.
+    duplicates costs one pass and a sort of n keys. The keys are summed in
+    blocks of about _BLOCK_CELLS cells, so no product of all of x is held;
+    a row's key does not depend on the block it falls in.
     """
     n, m = x.shape
-    key = (x * np.random.default_rng(0).uniform(1.0, 2.0, m)).sum(axis=1)
+    weight = np.random.default_rng(0).uniform(1.0, 2.0, m)
+    per = max(1, _BLOCK_CELLS // m)
+    key = np.empty(n)
+    for s in range(0, n, per):
+        key[s : s + per] = (x[s : s + per] * weight).sum(axis=1)
     _, key_group, key_count = np.unique(key, return_inverse=True, return_counts=True)
     suspects = np.flatnonzero(key_count[key_group.ravel()] > 1)
     label = np.arange(n)  # the first copy of each row

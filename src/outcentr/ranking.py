@@ -23,7 +23,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .data import DataError, Dataset, existing_file, write_rows
+from .data import DataError, Dataset, existing_file, frozen, write_rows
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,9 @@ def transform(d: Dataset, rank: AttributeRank) -> Dataset:
     """
     indices = sorted(d.index_of(name) for name in rank.selected)
     return Dataset(
-        values=d.values[:, indices],
+        # np.take fills a fresh C-ordered array; d.values[:, indices] would be
+        # a transposed view of one, which the Dataset would copy
+        values=frozen(np.take(d.values, indices, axis=1)),
         attribute_names=tuple(d.attribute_names[j] for j in indices),
         labels=d.labels,
     )

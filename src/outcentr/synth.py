@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, is_integer_of_at_least, write_csv
+from .data import DataError, Dataset, frozen, is_integer_of_at_least, write_csv
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,10 @@ def generate(spec: SynthSpec) -> tuple[Dataset, tuple[int, ...]]:
             values[:, j] = informative[row_perm, source]
         else:
             values[:, j] = noise[row_perm, source - d_inf]
-    del informative, noise
     informative_positions = tuple(int(j) for j in np.flatnonzero(col_perm < d_inf))
 
     names = tuple(f"a{j + 1}" for j in range(m))
-    dataset = Dataset(values=values, attribute_names=names, labels=labels[row_perm])
+    dataset = Dataset(values=frozen(values), attribute_names=names, labels=frozen(labels[row_perm]))
     return dataset, informative_positions
 
 

@@ -4,6 +4,7 @@ import io
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -593,6 +594,50 @@ class TestContainers:
                 arr.flat[0] = 1
 
 
+class TestAdoption:
+    """A Dataset keeps an array uncopied only when it is read-only, owns its
+    data, is C-contiguous and has the field's dtype."""
+
+    def test_a_writeable_array_is_copied(self):
+        arr = np.ones((3, 2))
+        d = Dataset(values=arr, attribute_names=("a", "b"))
+        assert arr.flags.writeable
+        arr[0, 0] = 5.0
+        assert d.values[0, 0] == 1.0
+
+    def test_a_read_only_array_that_owns_its_data_is_adopted(self):
+        arr = np.ones((3, 2))
+        arr.setflags(write=False)
+        assert Dataset(values=arr, attribute_names=("a", "b")).values is arr
+
+    def test_a_read_only_view_is_copied(self):
+        arr = np.ones((4, 2))[1:]  # C-contiguous, but its base stays alive
+        arr.setflags(write=False)
+        d = Dataset(values=arr, attribute_names=("a", "b"))
+        assert d.values is not arr and d.values.base is None
+
+    @pytest.mark.parametrize("producer", ["split", "normalize_minmax", "apply_normalization"])
+    def test_a_producer_allocates_little_beyond_its_results(self, producer):
+        """Each Dataset adopts the matrix its producer built, uncopied."""
+        rng = np.random.default_rng(24)
+        d = make_dataset(rng.normal(size=(16000, 53)), labels=rng.random(16000) < 0.05)
+        train, test = split(d, 0.8, seed=0)
+        state = normalize_minmax(train).normalization
+        call = {
+            "split": lambda: split(d, 0.8, seed=0),
+            "normalize_minmax": lambda: (normalize_minmax(train),),
+            "apply_normalization": lambda: (apply_normalization(test, state),),
+        }[producer]
+        call()  # first-call allocations of numpy are not the producer's
+        tracemalloc.start()
+        try:
+            results = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * sum(r.values.nbytes for r in results)
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
@@ -604,11 +649,20 @@ class TestContainers:
          "normalization state has shape (2, 2) for m=1"),
         (lambda: apply_normalization(make_dataset([[1.0, 2.0]]), [(0.0, 1.0)] * 3),
          "normalization state has shape (3, 2) for m=2"),
+        (lambda: Dataset(values=[[0.5]], attribute_names=("a",), normalization=[[np.nan, np.inf]]),
+         "normalization state (nan, inf) of column 'a' is not a finite min <= max"),
+        (lambda: apply_normalization(make_dataset([[2.0], [3.0], [4.0]]), [(5.0, 1.0)]),
+         "normalization state (5.0, 1.0) of column 'a1' is not a finite min <= max"),
+        (lambda: apply_normalization(make_dataset([[2.0], [3.0], [4.0]]), [(np.nan, 3.0)]),
+         "normalization state (nan, 3.0) of column 'a1' is not a finite min <= max"),
+        (lambda: apply_normalization(make_dataset([[1.0, 2.0]]), [(0.0, 1.0), (-np.inf, 3.0)]),
+         "normalization state (-inf, 3.0) of column 'a2' is not a finite min <= max"),
         (lambda: split(make_dataset([[1.0], [2.0], [3.0], [4.0]], labels=[0, 1, 0, 1]), 1.0, 0),
          "train_fraction must be in (0, 1), got 1.0"),
     ],
     ids=["values-not-2d", "labels-length", "dataset-state-shape", "replayed-state-shape",
-         "split-fraction"],
+         "dataset-state-not-finite", "replayed-state-swapped", "replayed-state-nan",
+         "replayed-state-infinite", "split-fraction"],
 )
 def test_rejects_bad_input_naming_it(call, message):
     with pytest.raises(DataError) as raised:

@@ -82,8 +82,8 @@ class TestGenerate:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_holds_two_matrices_at_its_peak(self, seed):
-        """The values and the Dataset's copy of them: the blocks and every
-        gather temporary are gone before the copy is made."""
+        """The blocks and the values gathered from them, one column at a time:
+        the Dataset adopts the values uncopied."""
         spec = SynthSpec(n=1000, m=200, contamination=0.05, seed=seed)
         generate(spec)  # first-call allocations of numpy are not generate's
         tracemalloc.start()
