@@ -52,15 +52,15 @@ def pca_fit(train: Dataset, k: int) -> PcaModel:
         raise DataError("PCA needs at least 2 rows")
     if not 1 <= k <= min(n - 1, m):
         raise DataError(f"k={k} out of range for n={n}, m={m}")
-    mean = train.values.mean(axis=0)
+    mean = frozen(train.values.mean(axis=0))
     centered = train.values - mean
     cov = centered.T @ centered / (n - 1)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     components = eigenvectors[:, ::-1][:, :k].T.copy()
-    variance = np.clip(eigenvalues[::-1][:k], 0.0, None)
+    variance = frozen(np.clip(eigenvalues[::-1][:k], 0.0, None))
     lead = components[np.arange(k), np.abs(components).argmax(axis=1)]
     components *= np.where(lead < 0, -1.0, 1.0)[:, None]
-    return PcaModel(mean=mean, components=components, explained_variance=variance)
+    return PcaModel(mean=mean, components=frozen(components), explained_variance=variance)
 
 
 def pca_transform(model: PcaModel, d: Dataset) -> Dataset:

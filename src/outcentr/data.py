@@ -375,7 +375,8 @@ def normalize_minmax(d: Dataset) -> Dataset:
     """
     if d.normalization is not None:
         raise DataError("dataset is already normalized")
-    return apply_normalization(d, np.stack([d.values.min(axis=0), d.values.max(axis=0)], axis=1))
+    state = np.stack([d.values.min(axis=0), d.values.max(axis=0)], axis=1)
+    return apply_normalization(d, frozen(state))
 
 
 def apply_normalization(d: Dataset, state) -> Dataset:

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import DataError, Dataset, freeze_fields, is_integer_of_at_least
+from .data import DataError, Dataset, freeze_fields, frozen, is_integer_of_at_least
 
 DETECTOR_KINDS = ("iforest", "lof")
 DISTANCE_METRICS = ("euclidean", "manhattan")
@@ -132,8 +132,7 @@ class DetectionResult:
 
     def __post_init__(self):
         freeze_fields(self, "scores")
-        object.__setattr__(self, "flags", self.scores > self.threshold)
-        freeze_fields(self, "flags", dtype=np.int64)
+        object.__setattr__(self, "flags", frozen((self.scores > self.threshold).astype(np.int64)))
 
 
 def _quantile_threshold(reference: np.ndarray, contamination: float) -> float:
@@ -181,6 +180,7 @@ class _PackedForest:
     leaf is its own child, with ``cut`` +inf and ``feature`` 0, so the walk
     needs no leaf test: a row that reaches a leaf steps to it again. A
     leaf's ``leaf_value`` is its depth + c(number of subsample rows it holds).
+    The node arrays are frozen read-only (:func:`freeze_fields`).
     """
 
     feature: np.ndarray
@@ -189,6 +189,9 @@ class _PackedForest:
     leaf_value: np.ndarray
     roots: np.ndarray
     subsample_size: int
+
+    def __post_init__(self):
+        freeze_fields(self, "feature", "cut", "child", "leaf_value", "roots", dtype=None)
 
     def path_lengths(self, x: np.ndarray) -> np.ndarray:
         """Mean path length E[h(row)] over the trees, for every row of x.
@@ -279,7 +282,7 @@ class IsolationForestModel(_PackedForest):
     threshold: float
 
     def __post_init__(self):
-        freeze_fields(self, "feature", "cut", "child", "leaf_value", "roots", dtype=None)
+        super().__post_init__()
         freeze_fields(self, "train_scores")
 
 
@@ -389,8 +392,8 @@ def _grow_forest(x: np.ndarray, samples: np.ndarray, rng: np.random.Generator) -
         first += split.size
         if not n_split:
             break
-    feature, cut, child, leaf_value = (np.concatenate(a) for a in zip(*levels))
-    return _PackedForest(feature, cut, child, leaf_value, np.arange(n_trees), psi)
+    feature, cut, child, leaf_value = (frozen(np.concatenate(a)) for a in zip(*levels))
+    return _PackedForest(feature, cut, child, leaf_value, frozen(np.arange(n_trees)), psi)
 
 
 def iforest_fit(train: Dataset, cfg: DetectorConfig) -> IsolationForestModel:
@@ -406,9 +409,8 @@ def iforest_fit(train: Dataset, cfg: DetectorConfig) -> IsolationForestModel:
     per step, so memory does not grow with rows x trees; the rows are
     split among min(usable CPUs, blocks, _MAX_WALK_THREADS) threads, each
     walking buffers the calling thread allocated (see
-    _PackedForest.path_lengths). The
-    (1 - contamination) quantile of the training scores is stored as the
-    flagging threshold for held-out data.
+    _PackedForest.path_lengths). The (1 - contamination) quantile of the
+    training scores is stored as the flagging threshold for held-out data.
 
     One generator, ``np.random.default_rng(cfg.seed)``, makes every draw, in
     this order: the subsample of each tree, in tree order; then, level by
@@ -427,7 +429,7 @@ def iforest_fit(train: Dataset, cfg: DetectorConfig) -> IsolationForestModel:
     rng = np.random.default_rng(cfg.seed)
     samples = np.stack([rng.choice(n, size=psi, replace=False) for _ in range(cfg.n_trees)])
     forest = _grow_forest(train.values, samples, rng)
-    train_scores = forest.score_samples(train.values)
+    train_scores = frozen(forest.score_samples(train.values))
     return IsolationForestModel(
         **vars(forest),
         m=train.m,
@@ -448,7 +450,7 @@ def iforest_score(
     """
     if d.m != forest.m:
         raise DataError(f"dataset has m={d.m}, forest was fit on m={forest.m}")
-    scores = forest.score_samples(d.values)
+    scores = frozen(forest.score_samples(d.values))
     if transductive:
         threshold = _quantile_threshold(scores, forest.config.contamination)
     else:
@@ -705,9 +707,8 @@ class LofModel:
     config: DetectorConfig
 
     def __post_init__(self):
-        self.ref.setflags(write=False)
+        freeze_fields(self, "ref", "kdist", "lrd", "train_scores")
         freeze_fields(self, "copies", dtype=np.int64)
-        freeze_fields(self, "kdist", "lrd", "train_scores")
 
 
 def lof_fit_predict(d: Dataset, cfg: DetectorConfig) -> DetectionResult:
@@ -743,11 +744,11 @@ def lof_fit(train: Dataset, cfg: DetectorConfig) -> LofModel:
     lrd = _local_reachability_density(nb, nb.kdist)
     lof = (nb.row_mean(lrd[nb.indices]) / lrd)[inverse]
     return LofModel(
-        ref=ref,
-        copies=copies,
-        kdist=nb.kdist,
-        lrd=lrd,
-        train_scores=lof,
+        ref=frozen(ref),  # already read-only when it is train.values itself
+        copies=frozen(copies),
+        kdist=frozen(nb.kdist),
+        lrd=frozen(lrd),
+        train_scores=frozen(lof),
         threshold=_quantile_threshold(lof, cfg.contamination),
         config=cfg,
     )
@@ -770,4 +771,4 @@ def lof_score(model: LofModel, d: Dataset) -> DetectionResult:
     )
     own_lrd = _local_reachability_density(nb, model.kdist)
     scores = (nb.row_mean(model.lrd[nb.indices]) / own_lrd)[inverse]
-    return DetectionResult(scores=scores, threshold=model.threshold)
+    return DetectionResult(scores=frozen(scores), threshold=model.threshold)

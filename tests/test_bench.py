@@ -1,3 +1,4 @@
+import collections
 import csv
 import gc
 import io
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from outcentr import bench, cli, data
+from outcentr import baselines, bench, cli, data, detectors
 from outcentr.bench import (
     ConfigError,
     RunConfig,
@@ -483,6 +484,32 @@ class TestRunExperiment:
         assert len(loads) == 1
         apart = [columns_1_to_9((seed,), f"seed{seed}") for seed in (3, 1, 2)]
         assert together == apart[0][:1] + [row for rows in apart for row in rows[1:]]
+
+    @pytest.mark.parametrize("transductive", [False, True])
+    def test_no_container_copies_an_array_the_run_built(self, tmp_path, monkeypatch, transductive):
+        """Every array a run builds is handed to its container: freeze_fields copies none."""
+        copied, freeze_fields = collections.Counter(), data.freeze_fields
+
+        def spy(obj, *names, **kwargs):
+            before = [getattr(obj, name) for name in names]
+            freeze_fields(obj, *names, **kwargs)
+            for name, arr in zip(names, before):
+                if getattr(obj, name) is not arr:
+                    copied[f"{type(obj).__name__}.{name}"] += 1
+
+        for module in (data, detectors, baselines):
+            monkeypatch.setattr(module, "freeze_fields", spy)
+        cfg = synth_run_config(
+            tmp_path,
+            reducers=("none", "outcentr", "pca", "grp"),
+            detectors=("iforest", "lof"),
+            k_neighbors=10,
+            transductive=transductive,
+        )
+        assert len(run_experiment(cfg).cells) == 4 * 2 * 2
+        assert not copied, f"{copied.total()} copies: " + ", ".join(
+            f"{name} x{count}" for name, count in sorted(copied.items())
+        )
 
 
 def subsets(items):

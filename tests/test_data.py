@@ -595,8 +595,20 @@ class TestContainers:
 
 
 class TestAdoption:
-    """A Dataset keeps an array uncopied only when it is read-only, owns its
+    """A container keeps an array uncopied only when it is read-only, owns its
     data, is C-contiguous and has the field's dtype."""
+
+    @pytest.mark.parametrize("container", sorted(CONTAINERS))
+    def test_writeable_arrays_of_a_caller_are_copied(self, container):
+        fitted = CONTAINERS[container]()
+        fields = {f.name: getattr(fitted, f.name) for f in dataclasses.fields(fitted) if f.init}
+        callers = {name: np.array(v) for name, v in fields.items() if isinstance(v, np.ndarray)}
+        obj = type(fitted)(**{**fields, **callers})
+        for arr in callers.values():
+            arr += 1  # the caller's arrays stay writeable
+        for name in callers:
+            assert np.array_equal(getattr(obj, name), fields[name]), name
+            assert getattr(obj, name).flags.owndata, name
 
     def test_a_writeable_array_is_copied(self):
         arr = np.ones((3, 2))

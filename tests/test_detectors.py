@@ -18,6 +18,7 @@ from outcentr.detectors import (
     DISTANCE_METRICS,
     DetectionResult,
     DetectorConfig,
+    LofModel,
     average_path_length,
     iforest_fit,
     iforest_score,
@@ -534,6 +535,21 @@ class TestLof:
         assert sizes == {distinct} and distinct < train.n
         assert model.copies.sum() == len(model.train_scores) == train.n
         assert not model.ref.flags.writeable
+
+    def test_model_shares_no_reference_array_its_caller_can_write(self):
+        def model(ref):
+            ones = [1.0] * len(ref)
+            return LofModel(ref=ref, copies=[1] * len(ref), kdist=ones, lrd=ones,
+                            train_scores=ones, threshold=1.0, config=lof_cfg(k_neighbors=1))
+
+        base = np.arange(12.0).reshape(6, 2)
+        view = model(base[:3])
+        own = base.copy()
+        held = model(own)
+        base[0, 0] = own[0, 0] = 7.0  # both stay writeable for their caller
+        assert view.ref[0, 0] == held.ref[0, 0] == 0.0
+        assert view.ref.flags.owndata and not view.ref.flags.writeable
+        assert model([[0.0, 1.0]]).ref.tolist() == [[0.0, 1.0]]
 
     def test_scoring_reads_the_stored_reference_rows(self, monkeypatch):
         rng = np.random.default_rng(30)
